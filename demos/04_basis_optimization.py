@@ -2,7 +2,7 @@
 """Steering the pair by optimizing the probe measurement bases.
 
 For each target quantity (visibility, predictability, concurrence) the
-optimizer searches all 2n angles jointly.  Strong coupling drains the
+optimal basis follows in closed form: only the first probe's angle matters.  Strong coupling drains the
 entanglement no matter what is maximized, while weak coupling lets the
 concurrence survive; the visibility shows the opposite preference.
 """
@@ -10,22 +10,21 @@ import math
 
 from complement_opt import (
     Objective,
-    OptimizerBudget,
     curve,
     gamma_coefficients,
     make_config,
+    maximize,
     postselected_state,
     reservoir_limit_concurrence,
 )
 
-BUDGET = OptimizerBudget(restarts=8, max_evals=100_000, tol=1e-9)
 N_MAX = 12
 
 
 def show_curve(cfg, label, objective):
     print(f"\n--- maximize {objective.value} | {label} coupling ---")
     print("  n    V        P        C        reservoir C   prob")
-    for r in curve(cfg, objective, N_MAX, BUDGET, seed=0):
+    for r in curve(cfg, objective, N_MAX):
         t = r.achieved
         res = reservoir_limit_concurrence(cfg.k, r.n * cfg.dt)
         print(f"  {r.n:2d}  {t.V:.5f}  {t.P:.5f}  {t.C:.5f}   {res:.5f}       "
@@ -33,12 +32,10 @@ def show_curve(cfg, label, objective):
 
 
 def show_states(cfg, label, ns=(1, 2, 10)):
-    from complement_opt import maximize
-
     print(f"\n--- optimized pair states | {label} coupling ---")
     for objective in Objective:
         for n in ns:
-            r = maximize(cfg, n, objective, BUDGET, seed=0)
+            r = maximize(cfg, n, objective)
             s = postselected_state(gamma_coefficients(cfg, r.basis, n))
             print(f"  max {objective.value:<14} n={n:<2d}  "
                   f"|c00|={abs(s.c00):.2f} |c01|={abs(s.c01):.2f} |c10|={abs(s.c10):.2f}")

@@ -10,16 +10,12 @@ import math
 
 from complement_opt import (
     Objective,
-    OptimizerBudget,
     delta_d_pair,
     delta_d_total,
     make_config,
     maximize,
     per_qubit_distinguishability,
 )
-
-BUDGET = OptimizerBudget(restarts=8, max_evals=100_000, tol=1e-9)
-
 
 def bar(value, scale=40):
     return "#" * max(0, round(value * scale))
@@ -47,7 +43,7 @@ def main():
     print(f"{'objective':<16} {'coupling':<8} {'dD_total':>10} {'dD_pair':>10}")
     for objective in Objective:
         for name, cfg in (("strong", strong), ("weak", weak)):
-            v = min(maximize(cfg, 4, objective, BUDGET, seed=0).achieved.V, 1.0)
+            v = min(maximize(cfg, 4, objective).achieved.V, 1.0)
             print(f"{objective.value:<16} {name:<8} {delta_d_total(v):>10.4f} "
                   f"{delta_d_pair(cfg, 4, v):>10.4f}")
     print("\nonly the visibility maximization erases stored information,")

@@ -4,7 +4,7 @@ A maximally entangled qubit pair loses coherence to a train of probe qubits;
 projectively measuring the probes in optimized bases steers the pair toward
 maximal visibility, predictability or concurrence.  The package provides the
 closed-form dynamics, the post-selection algebra, brute-force oracles for
-both, a reproducible derivative-free optimizer and the experiment harness
+both, the closed-form optimal measurement bases and the experiment harness
 that tabulates the resulting complementarity and information-budget curves.
 """
 from .collisions import (
@@ -48,9 +48,7 @@ from .measurement import (
 from .optimize import (
     Objective,
     OptimizationResult,
-    OptimizerBudget,
     curve,
-    greedy_curve,
     grid_reference_maximum,
     maximize,
     objective_value,
@@ -86,11 +84,9 @@ __all__ = [
     "delta_d_total",
     "delta_d_pair",
     "Objective",
-    "OptimizerBudget",
     "OptimizationResult",
     "maximize",
     "curve",
-    "greedy_curve",
     "grid_reference_maximum",
     "objective_value",
     "DomainError",

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .experiments import EXPERIMENTS, PRESETS, ExperimentSpec, preset_config, run_experiment
 from .collisions import make_config
-from .optimize import Objective, OptimizerBudget
+from .optimize import Objective
 from .verify import run_verification
 
 
@@ -42,10 +42,6 @@ class RunConfig:
     N: int | None = None
     objective: str | None = None
     n_max: int = 20
-    restarts: int = 16
-    max_evals: int = 200_000
-    tol: float = 1e-9
-    seed: int = 0
     out: str = "results"
     theta_steps: int = 60
     phi: float = 0.0
@@ -63,10 +59,6 @@ _PARSERS = {
     "N": int,
     "objective": str,
     "n_max": int,
-    "restarts": int,
-    "max_evals": int,
-    "tol": float,
-    "seed": int,
     "out": str,
     "theta_steps": int,
     "phi": float,
@@ -143,12 +135,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs field 'objective'")
     if cfg.n_max < 0:
         raise ConfigError(f"field 'n_max' must be >= 0, got {cfg.n_max}")
-    if cfg.restarts < 1:
-        raise ConfigError(f"field 'restarts' must be >= 1, got {cfg.restarts}")
-    if cfg.max_evals < 1:
-        raise ConfigError(f"field 'max_evals' must be >= 1, got {cfg.max_evals}")
-    if not cfg.tol > 0:
-        raise ConfigError(f"field 'tol' must be positive, got {cfg.tol}")
     if cfg.theta_steps < 1:
         raise ConfigError(f"field 'theta_steps' must be >= 1, got {cfg.theta_steps}")
     try:
@@ -189,12 +175,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    budget = OptimizerBudget(
-        restarts=run_cfg.restarts, max_evals=run_cfg.max_evals, tol=run_cfg.tol
-    )
     try:
         spec = _to_spec(run_cfg)
-        paths = run_experiment(spec, budget, seed=run_cfg.seed, out_dir=run_cfg.out)
+        paths = run_experiment(spec, out_dir=run_cfg.out)
     except (DomainError, RangeError, NormalizationError, DegenerateOutcomeError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 3
@@ -233,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--N", type=int, help="number of probe qubits")
     run.add_argument("--objective", help="visibility, predictability or concurrence")
     run.add_argument("--n-max", dest="n_max", type=int)
-    run.add_argument("--restarts", type=int)
-    run.add_argument("--max-evals", dest="max_evals", type=int)
-    run.add_argument("--tol", type=float)
-    run.add_argument("--seed", type=int)
     run.add_argument("--out", help="output directory (default: results)")
     run.set_defaults(func=_cmd_run)
 

@@ -61,9 +61,11 @@ class CouplingConfig:
 def make_config(g: float, T: float, N_total: int) -> CouplingConfig:
     """Validate physical parameters and derive per-collision constants.
 
-    Requires g >= 0, T > 0, N_total >= 1 and g*dt < pi/2 (the exchange
-    rotation must stay short of a full excitation swap).
+    Requires finite g >= 0, T > 0 and N_total >= 1, and g*dt < pi/2 (the
+    exchange rotation must stay short of a full excitation swap).
     """
+    if not all(math.isfinite(x) for x in (g, T, N_total)):
+        raise DomainError(f"g, T and N_total must be finite, got {g}, {T}, {N_total}")
     if N_total < 1 or int(N_total) != N_total:
         raise DomainError(f"N_total must be a positive integer, got {N_total}")
     if not T > 0:

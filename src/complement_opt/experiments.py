@@ -3,9 +3,9 @@
 Each study produces plain records so callers can post-process or plot as they
 like; ``run_experiment`` routes a declarative :class:`ExperimentSpec` to the
 right study and persists one CSV per experiment plus a JSON manifest capturing
-enough provenance (parameters, budget, seed, versions) to reproduce the file.
-CSV floats are serialized with 17 significant digits, so identical spec + seed
-reruns are byte-identical; the manifest additionally records wall time and is
+enough provenance (parameters, versions) to reproduce the file.  CSV floats
+are serialized with 17 significant digits, so identical spec reruns are
+byte-identical; the manifest additionally records wall time and is
 therefore excluded from that guarantee.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,7 +32,7 @@ from .measurement import (
     postselected_state,
     uniform_gamma,
 )
-from .optimize import Objective, OptimizerBudget, curve, maximize, objective_value
+from .optimize import Objective, curve, maximize, objective_value
 
 PRESETS: dict[str, dict] = {
     "strong": {"g": 4.0, "T": 2.0 * math.pi, "N_total": 20},
@@ -96,8 +96,6 @@ def run_quantity_vs_n(
     cfg: CouplingConfig,
     objective: Objective,
     n_max: int,
-    budget: OptimizerBudget | None = None,
-    seed: int = 0,
     reservoir_k: float | None = None,
 ) -> list[CurveRecord]:
     """Optimized complementarity triple for each n, with the many-probe
@@ -108,7 +106,7 @@ def run_quantity_vs_n(
     """
     k = cfg.k if reservoir_k is None else reservoir_k
     records = []
-    for result in curve(cfg, objective, n_max, budget, seed=seed):
+    for result in curve(cfg, objective, n_max):
         t = result.achieved
         records.append(
             CurveRecord(
@@ -182,12 +180,10 @@ def run_delta_d(
     cfg: CouplingConfig,
     objective: Objective,
     n_max: int,
-    budget: OptimizerBudget | None = None,
-    seed: int = 0,
 ) -> list[tuple[int, float, float, float]]:
     """(n, optimized V, total information change, pair information change)."""
     rows = []
-    for result in curve(cfg, objective, n_max, budget, seed=seed):
+    for result in curve(cfg, objective, n_max):
         v = min(result.achieved.V, 1.0)
         rows.append(
             (result.n, result.achieved.V, delta_d_total(v), delta_d_pair(cfg, result.n, v))
@@ -223,8 +219,6 @@ def _canonical_phase(c00: complex, c01: complex, c10: complex) -> tuple[complex,
 
 
 def run_table_states(
-    budget: OptimizerBudget | None = None,
-    seed: int = 0,
     ns: Sequence[int] = (1, 2, 10),
     presets: Sequence[str] = ("strong", "weak"),
 ) -> list[TableStateRow]:
@@ -235,7 +229,7 @@ def run_table_states(
         for preset in presets:
             cfg = preset_config(preset)
             for n in ns:
-                result = maximize(cfg, int(n), objective, budget, seed=seed)
+                result = maximize(cfg, int(n), objective)
                 state = postselected_state(
                     gamma_coefficients(cfg, result.basis, int(n))
                 )
@@ -348,8 +342,6 @@ def _file_stem(spec: ExperimentSpec) -> str:
 
 def run_experiment(
     spec: ExperimentSpec,
-    budget: OptimizerBudget | None = None,
-    seed: int = 0,
     out_dir: Path | str = "results",
 ) -> dict:
     """Execute one named study and persist CSV + manifest.
@@ -360,7 +352,6 @@ def run_experiment(
     """
     if spec.name not in EXPERIMENTS:
         raise DomainError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
-    budget = budget or OptimizerBudget()
     directory = Path(out_dir) / spec.name
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{_file_stem(spec)}.csv"
@@ -375,9 +366,7 @@ def run_experiment(
     started = time.perf_counter()
     if spec.name == "quantity-vs-n":
         write_curve_csv(
-            run_quantity_vs_n(
-                spec.cfg, spec.objective, spec.n_max, budget, seed, spec.reservoir_k
-            ),
+            run_quantity_vs_n(spec.cfg, spec.objective, spec.n_max, spec.reservoir_k),
             csv_path,
         )
     elif spec.name == "uniform-sweep":
@@ -387,11 +376,9 @@ def run_experiment(
     elif spec.name == "distinguishability":
         write_profile_csv(run_distinguishability_profile(spec.cfg), csv_path)
     elif spec.name == "delta-d":
-        write_delta_d_csv(
-            run_delta_d(spec.cfg, spec.objective, spec.n_max, budget, seed), csv_path
-        )
+        write_delta_d_csv(run_delta_d(spec.cfg, spec.objective, spec.n_max), csv_path)
     elif spec.name == "table":
-        write_table_csv(run_table_states(budget, seed), csv_path)
+        write_table_csv(run_table_states(), csv_path)
     else:
         write_limit_csv(
             run_continuous_limit_convergence(spec.limit_k, spec.limit_T, spec.limit_N),
@@ -413,8 +400,6 @@ def run_experiment(
         "phi": spec.phi,
         "reservoir_k": spec.reservoir_k,
         "limit": {"k": spec.limit_k, "T": spec.limit_T, "N": list(spec.limit_N)},
-        "budget": asdict(budget),
-        "seed": seed,
         "versions": {
             "complement_opt": __version__,
             "numpy": np.__version__,

@@ -110,17 +110,15 @@ def _make_gamma(g1: complex, g2: complex, g3: complex) -> GammaTriple:
         )
     return GammaTriple(
         gamma1=complex(g1), gamma2=complex(g2), gamma3=complex(g3),
-        norm_factor=norm, outcome_probability=norm_sq,
+        norm_factor=float(norm), outcome_probability=float(norm_sq),
     )
 
 
 def _exclusive_products(alpha: np.ndarray) -> np.ndarray:
-    """exclusive_products(alpha)[i] = prod of alpha[j] over j != i."""
-    n = alpha.size
-    if n == 0:
-        return np.empty(0, dtype=alpha.dtype)
-    pre = np.concatenate(([1.0], np.cumprod(alpha[:-1])))
-    suf = np.concatenate((np.cumprod(alpha[::-1])[-2::-1], [1.0]))
+    """Along the last axis (size >= 1): product of all entries except the own one."""
+    ones = np.ones(alpha.shape[:-1] + (1,), dtype=alpha.dtype)
+    pre = np.concatenate([ones, np.cumprod(alpha[..., :-1], axis=-1)], axis=-1)
+    suf = np.concatenate([np.cumprod(alpha[..., :0:-1], axis=-1)[..., ::-1], ones], axis=-1)
     return pre * suf
 
 

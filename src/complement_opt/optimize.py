@@ -1,32 +1,26 @@
-"""Derivative-free maximization of a complementarity quantity over probe bases.
+"""Closed-form maximization of a complementarity quantity over probe bases.
 
-The search space for n measured probes is the 2n angles (theta_i, phi_i).
-``maximize`` runs multi-start cyclic coordinate ascent: each restart sweeps the
-(theta_i, phi_i) pairs in order, re-optimizing one pair at a time by a coarse
-2-D grid followed by alternating golden-section line refinements, and cycles
-until a full sweep improves the objective by less than the tolerance.  The
-default restart schedule is one all-zeros start, one all-theta=pi/4 start and
-seeded random starts for the remainder, which keeps results reproducible.
+With x = |gamma1/gamma3|^2 and s = a^(2n) the post-selected pair has
+V = 2 sqrt(x)/(1+s+x), P = |1-s-x|/(1+s+x) and C = 2 a^n/(1+s+x), so the
+basis matters only through x.  Measuring probe 1 at (theta_1, 0) and every
+later probe at theta = 0 gives x = |b|^2 tan^2(theta_1), which spans [0, inf):
 
-Zero-probability post-selections are legal points of the search space and are
-assigned objective -inf rather than raising, so the ascent can traverse
-near-degenerate regions safely.  The objective is always the quantity of the
-post-selected (normalized) pair state; the outcome probability is reported but
-never optimized.
+* V* = 1/sqrt(1+s) at x = 1+s, theta_1 = atan2(sqrt(1+s), |b|);
+* C* = 2 a^n/(1+s) at x = 0, theta_1 = 0;
+* P* is the larger of theta_1 = pi/2 (P = 1 at outcome probability |b|^2/2)
+  and theta_1 = 0 (P = (1-s)/(1+s) at outcome probability (1+s)/2); when the
+  two lie within ``TIE_TOLERANCE`` the more probable one is reported.
 
-Ties within 1e-9 of the best value are resolved toward the lowest restart
-index, which pins down a deterministic winner on the frequent plateaus where a
-continuum of bases reaches the same optimum.
-
-``grid_reference_maximum`` is a deliberately exhaustive reference (dense angle
-grid plus Nelder-Mead polish evaluated through the collision/projection
-oracle); it is used to validate the ascent on small n, not for production runs.
+Without coupling (b = 0) no basis changes the pair and theta_1 = 0 is used.
+The reported triple and outcome probability always come from
+``gamma_coefficients`` and ``complementarity_after``.  Below g*dt of about
+1e-14 the V* and P* records fall under ``DEGENERATE_NORM`` and ``maximize``
+raises ``DegenerateOutcomeError``.  ``grid_reference_maximum`` is the
+independent exhaustive reference that checks the closed form on small n.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,25 +30,13 @@ from .collisions import CouplingConfig, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
 from .errors import DegenerateOutcomeError, DomainError
 from .measurement import (
-    MeasurementBasis,
-    complementarity_after,
-    gamma_coefficients,
+    MeasurementBasis, _exclusive_products, complementarity_after, gamma_coefficients,
 )
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: restarts whose value lies within this of the best are treated as ties
+#: candidate optima whose values lie within this of the best are ties
 TIE_TOLERANCE = 1e-9
-#: squared-norm threshold below which an outcome counts as impossible
+#: squared-norm threshold below which a grid point counts as impossible
 _DEGENERATE_TOTAL = 1e-28
-
-# Coarse per-pair grid.  13 theta points over [0, pi) deliberately exclude
-# pi/2: exact alpha = 0 bases are reachable only through refinement, so a
-# restart already sitting on a broad optimum is not yanked onto the
-# zero-probability ridge by a lucky grid hit.
-_THETA_GRID = np.arange(13) * (math.pi / 13.0)
-_PHI_GRID = np.arange(12) * (math.pi / 6.0)
-_THETA_SPAN = math.pi / 13.0
-_PHI_SPAN = math.pi / 6.0
 
 
 class Objective(Enum):
@@ -64,24 +46,12 @@ class Objective(Enum):
 
 
 @dataclass(frozen=True)
-class OptimizerBudget:
-    """Restart count, per-restart evaluation cap and sweep tolerance."""
-
-    restarts: int = 16
-    max_evals: int = 200_000
-    tol: float = 1e-9
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     objective: Objective
     n: int
     basis: MeasurementBasis
     achieved: ComplementarityTriple
     outcome_probability: float
-    evaluations: int
-    converged: bool
-    seed: int
 
 
 def objective_value(t: ComplementarityTriple, objective: Objective) -> float:
@@ -92,18 +62,33 @@ def objective_value(t: ComplementarityTriple, objective: Objective) -> float:
     return t.C
 
 
-def _exclusive_products(alpha: np.ndarray) -> np.ndarray:
-    """Along the last axis: product of all entries except the own one."""
-    n = alpha.shape[-1]
-    shape = alpha.shape[:-1] + (1,)
-    ones = np.ones(shape, dtype=alpha.dtype)
-    pre = np.concatenate([ones, np.cumprod(alpha[..., :-1], axis=-1)], axis=-1)
-    if n > 1:
-        rev = np.cumprod(alpha[..., ::-1], axis=-1)
-        suf = np.concatenate([rev[..., -2::-1], ones], axis=-1)
+def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationResult:
+    """Optimal measurement basis for the given quantity after n collisions; of
+    candidates within ``TIE_TOLERANCE`` of the best, the most probable wins."""
+    cfg.check_n(n)
+    if cfg.b == 0 or objective is Objective.CONCURRENCE:
+        thetas = (0.0,)
+    elif objective is Objective.VISIBILITY:
+        thetas = (math.atan2(math.sqrt(1.0 + cfg.a ** (2 * n)), abs(cfg.b)),)
     else:
-        suf = ones
-    return pre * suf
+        thetas = (math.pi / 2.0, 0.0)
+    candidates = []
+    for theta1 in thetas:
+        basis = MeasurementBasis.from_angles((theta1 if i == 0 else 0.0, 0.0) for i in range(n))
+        gt = gamma_coefficients(cfg, basis, n)
+        achieved = complementarity_after(gt)
+        candidates.append(OptimizationResult(objective, n, basis, achieved, gt.outcome_probability))
+    best = max(objective_value(c.achieved, objective) for c in candidates)
+    return max(
+        (c for c in candidates if objective_value(c.achieved, objective) >= best - TIE_TOLERANCE),
+        key=lambda c: c.outcome_probability,
+    )
+
+
+def curve(cfg: CouplingConfig, objective: Objective, n_max: int) -> list[OptimizationResult]:
+    """Maximization for each n in 1..n_max."""
+    cfg.check_n(n_max)
+    return [maximize(cfg, n, objective) for n in range(1, n_max + 1)]
 
 
 def _moduli_sq(a, b, n, theta, phi):
@@ -134,281 +119,6 @@ def _value_from_moduli(kind: Objective, m1, m2, m3):
     return np.where(total < _DEGENERATE_TOTAL, -np.inf, val)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-7):
-    """Golden-section maximization on [lo, hi], tracking the best point seen."""
-    c = hi - (hi - lo) * _INVPHI
-    d = lo + (hi - lo) * _INVPHI
-    fc, fd = f(c), f(d)
-    evals = 2
-    if fc >= fd:
-        best_x, best_v = c, fc
-    else:
-        best_x, best_v = d, fd
-    while hi - lo > xtol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) * _INVPHI
-            fc = f(c)
-            evals += 1
-            if fc > best_v:
-                best_x, best_v = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) * _INVPHI
-            fd = f(d)
-            evals += 1
-            if fd > best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v, evals
-
-
-class _PairProblem:
-    """Objective restricted to one (theta_i, phi_i) pair, others frozen.
-
-    Reduces the frozen pairs to two constants: the product of their alphas
-    and the weighted beta sum, after which each candidate evaluation is O(1).
-    """
-
-    def __init__(self, a, b, n, theta, phi, i, kind):
-        weights = a ** np.arange(n)
-        alpha_r = np.cos(np.delete(theta, i))
-        beta_r = np.exp(1j * np.delete(phi, i)) * np.sin(np.delete(theta, i))
-        w_r = np.delete(weights, i)
-        self._prod_other = float(np.prod(alpha_r))
-        self._sum_other = complex(
-            np.sum(w_r * beta_r * _exclusive_products(alpha_r))
-        )
-        self._w_i = float(weights[i])
-        self._a_n = a ** n
-        self._b = b
-        self._kind = kind
-
-    def __call__(self, theta_i, phi_i):
-        alpha_i = np.cos(theta_i)
-        beta_i = np.exp(1j * phi_i) * np.sin(theta_i)
-        g1 = self._b * (alpha_i * self._sum_other + self._w_i * beta_i * self._prod_other)
-        g3 = alpha_i * self._prod_other
-        g2 = self._a_n * g3
-        return _value_from_moduli(self._kind, np.abs(g1) ** 2, g2 * g2, g3 * g3)
-
-
-def _refine_pair(f, t0, p0, v0, xtol=1e-7, rounds=3):
-    """Alternating golden-section refinements around (t0, p0)."""
-    best_t, best_p, best_v = t0, p0, v0
-    span_t, span_p = _THETA_SPAN, _PHI_SPAN
-    evals = 0
-    for _ in range(rounds):
-        x, v, used = _golden_max(lambda t: float(f(t, best_p)), best_t - span_t, best_t + span_t, xtol)
-        evals += used
-        if v > best_v:
-            best_t, best_v = x, v
-        x, v, used = _golden_max(lambda p: float(f(best_t, p)), best_p - span_p, best_p + span_p, xtol)
-        evals += used
-        if v > best_v:
-            best_p, best_v = x, v
-        span_t /= 4.0
-        span_p /= 4.0
-    return best_t, best_p, best_v, evals
-
-
-def _ascend(a, b, n, theta0, phi0, kind, max_evals, tol):
-    """One restart of cyclic coordinate ascent.  Returns (theta, phi, value,
-    evaluations, converged)."""
-    theta = np.array(theta0, dtype=float)
-    phi = np.array(phi0, dtype=float)
-    m1, m2, m3 = _moduli_sq(a, b, n, theta, phi)
-    value = float(_value_from_moduli(kind, m1, m2, m3))
-    evals = 1
-    converged = False
-    exhausted = False
-    while not exhausted:
-        sweep_start = value
-        for i in range(n):
-            if evals >= max_evals:
-                exhausted = True
-                break
-            f = _PairProblem(a, b, n, theta, phi, i, kind)
-            grid = f(_THETA_GRID[:, None], _PHI_GRID[None, :])
-            evals += grid.size
-            j = int(np.argmax(grid))
-            gt = float(_THETA_GRID[j // _PHI_GRID.size])
-            gp = float(_PHI_GRID[j % _PHI_GRID.size])
-            gv = float(grid.flat[j])
-            if value >= gv:
-                center = (float(theta[i]), float(phi[i]), value)
-            else:
-                center = (gt, gp, gv)
-            bt, bp, bv, used = _refine_pair(f, *center)
-            evals += used
-            if bv > value:
-                theta[i], phi[i], value = bt, bp, bv
-        if not exhausted and value - sweep_start < tol:
-            converged = True
-            break
-    return theta, phi, value, evals, converged
-
-
-def _start_points(n, restarts, seed, initial_guess):
-    starts = []
-    if initial_guess is not None:
-        g = np.asarray(initial_guess, dtype=float).reshape(n, 2)
-        starts.append((g[:, 0].copy(), g[:, 1].copy()))
-    else:
-        starts.append((np.zeros(n), np.zeros(n)))
-    if restarts > 1:
-        starts.append((np.full(n, math.pi / 4.0), np.zeros(n)))
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts - len(starts)):
-        starts.append(
-            (rng.uniform(0.0, math.pi, size=n), rng.uniform(0.0, 2.0 * math.pi, size=n))
-        )
-    return starts[:restarts]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("COMPLEMENT_OPT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def maximize(
-    cfg: CouplingConfig,
-    n: int,
-    objective: Objective,
-    budget: OptimizerBudget | None = None,
-    seed: int = 0,
-    initial_guess=None,
-) -> OptimizationResult:
-    """Best measurement basis found for the given quantity after n collisions.
-
-    Deterministic for fixed (cfg, n, objective, budget, seed): restart start
-    points come from a seeded generator and ties are broken toward the lowest
-    restart index, independent of execution order.
-    """
-    budget = budget or OptimizerBudget()
-    cfg.check_n(n)
-    if budget.restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {budget.restarts}")
-    if n == 0:
-        gt = gamma_coefficients(cfg, MeasurementBasis.empty(), 0)
-        return OptimizationResult(
-            objective=objective, n=0, basis=MeasurementBasis.empty(),
-            achieved=complementarity_after(gt),
-            outcome_probability=gt.outcome_probability,
-            evaluations=0, converged=True, seed=seed,
-        )
-    starts = _start_points(n, budget.restarts, seed, initial_guess)
-
-    def run(start):
-        return _ascend(
-            cfg.a, cfg.b, n, start[0], start[1], objective,
-            budget.max_evals, budget.tol,
-        )
-
-    threads = min(_thread_count(), len(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(s) for s in starts]
-    values = [o[2] for o in outcomes]
-    best = max(values)
-    winner = next(i for i, v in enumerate(values) if v >= best - TIE_TOLERANCE)
-    theta, phi, _, _, converged = outcomes[winner]
-    basis = MeasurementBasis.from_angles(zip(theta, phi))
-    gt = gamma_coefficients(cfg, basis, n)
-    return OptimizationResult(
-        objective=objective, n=n, basis=basis,
-        achieved=complementarity_after(gt),
-        outcome_probability=gt.outcome_probability,
-        evaluations=sum(o[3] for o in outcomes),
-        converged=converged, seed=seed,
-    )
-
-
-def curve(
-    cfg: CouplingConfig,
-    objective: Objective,
-    n_max: int,
-    budget: OptimizerBudget | None = None,
-    seed: int = 0,
-    warm_start: bool = False,
-) -> list[OptimizationResult]:
-    """Independent maximization for each n in 1..n_max.
-
-    Each n is re-optimized from scratch by default; with ``warm_start`` the
-    previous solution (extended by one untouched probe) replaces the all-zeros
-    start of the next point.
-    """
-    cfg.check_n(n_max)
-    results: list[OptimizationResult] = []
-    previous = None
-    for n in range(1, n_max + 1):
-        guess = None
-        if warm_start and previous is not None:
-            guess = list(previous.basis.angles) + [(0.0, 0.0)]
-        previous = maximize(cfg, n, objective, budget, seed=seed, initial_guess=guess)
-        results.append(previous)
-    return results
-
-
-def greedy_curve(
-    cfg: CouplingConfig,
-    objective: Objective,
-    n_max: int,
-    budget: OptimizerBudget | None = None,
-    seed: int = 0,
-) -> list[OptimizationResult]:
-    """Greedy per-collision variant, for comparison with the joint search.
-
-    The basis for probes 1..n-1 is frozen from the previous step and only the
-    newest pair is optimized, so each step is cheap but the result is generally
-    below the jointly optimized value.
-    """
-    budget = budget or OptimizerBudget()
-    cfg.check_n(n_max)
-    rng = np.random.default_rng(seed)
-    theta = np.zeros(0)
-    phi = np.zeros(0)
-    results: list[OptimizationResult] = []
-    for n in range(1, n_max + 1):
-        theta = np.append(theta, 0.0)
-        phi = np.append(phi, 0.0)
-        pair_starts = [(0.0, 0.0), (math.pi / 4.0, 0.0)]
-        pair_starts += [
-            (rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-            for _ in range(2)
-        ]
-        best_v, best_tp = -np.inf, (0.0, 0.0)
-        for t0, p0 in pair_starts:
-            theta[-1], phi[-1] = t0, p0
-            f = _PairProblem(cfg.a, cfg.b, n, theta, phi, n - 1, objective)
-            grid = f(_THETA_GRID[:, None], _PHI_GRID[None, :])
-            j = int(np.argmax(grid))
-            center = (
-                float(_THETA_GRID[j // _PHI_GRID.size]),
-                float(_PHI_GRID[j % _PHI_GRID.size]),
-                float(grid.flat[j]),
-            )
-            bt, bp, bv, _ = _refine_pair(f, *center)
-            if bv > best_v:
-                best_v, best_tp = bv, (bt, bp)
-        theta[-1], phi[-1] = best_tp
-        basis = MeasurementBasis.from_angles(zip(theta, phi))
-        gt = gamma_coefficients(cfg, basis, n)
-        results.append(
-            OptimizationResult(
-                objective=objective, n=n, basis=basis,
-                achieved=complementarity_after(gt),
-                outcome_probability=gt.outcome_probability,
-                evaluations=0, converged=True, seed=seed,
-            )
-        )
-    return results
-
-
 _REFERENCE_STEPS_DEG = {1: 1.0, 2: 6.0}
 
 
@@ -425,8 +135,8 @@ def grid_reference_maximum(
     Nelder-Mead polish of the leading grid points.
 
     The polish evaluates the objective through the sequential-collision state
-    and the direct projection route, independently of the coordinate-ascent
-    search path.  Supports n <= 2 (the 2n-dimensional grid grows too fast
+    and the direct projection route, independently of the closed form in
+    ``maximize``.  Supports n <= 2 (the 2n-dimensional grid grows too fast
     beyond that).  Returns (value, angles).
     """
     cfg.check_n(n)

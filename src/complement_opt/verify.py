@@ -6,22 +6,25 @@ Four families of checks, all seeded and deterministic:
 * dual routes: closed-form evolution vs sequential rotations, and the
   post-selection algebra vs direct projection of the oracle state;
 * the information budget a^(2n) + sum_i |a^(i-1) b|^2 = 1;
-* the coordinate-ascent optimizer vs the exhaustive small-n grid reference.
+* the closed-form optimizer vs the exhaustive small-n grid reference.
 
-``perturb=True`` flips a sign inside the closure evaluation (a deliberate
-fault) so callers can confirm the suite actually fails when the math is wrong.
+The closure check takes V, P and C from the library's ``complementarity_after``.
+``perturb=True`` substitutes a triple function whose P has one sign flipped (a
+deliberate fault) so callers can confirm the suite fails when the math is wrong.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .collisions import evolve_closed_form, make_config, oracle_evolve
 from .errors import DegenerateOutcomeError
 from .measurement import (
+    GammaTriple,
     MeasurementBasis,
+    complementarity_after,
     gamma_coefficients,
     per_qubit_distinguishability,
     postselected_state,
@@ -54,7 +57,13 @@ def _random_basis(rng, n) -> MeasurementBasis:
     )
 
 
-def _closure_check(samples: int, seed: int, perturb: bool) -> CheckResult:
+def _sign_fault(gt: GammaTriple):
+    """``complementarity_after`` with the sign of the |gamma2|^2 term in P flipped."""
+    m1, m2, m3 = (abs(g) ** 2 for g in (gt.gamma1, gt.gamma2, gt.gamma3))
+    return replace(complementarity_after(gt), P=abs(m3 - m1 + m2) / (m1 + m2 + m3))
+
+
+def _closure_check(samples: int, seed: int, triple_of) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -64,18 +73,8 @@ def _closure_check(samples: int, seed: int, perturb: bool) -> CheckResult:
             gt = gamma_coefficients(cfg, basis, n)
         except DegenerateOutcomeError:
             continue
-        m1 = abs(gt.gamma1) ** 2
-        m2 = abs(gt.gamma2) ** 2
-        m3 = abs(gt.gamma3) ** 2
-        total = m1 + m2 + m3
-        v = 2.0 * math.sqrt(m1 * m3) / total
-        c = 2.0 * math.sqrt(m2 * m3) / total
-        if perturb:
-            # deliberate fault: sign of the m2 term flipped
-            p = abs(m3 - m1 + m2) / total
-        else:
-            p = abs(m3 - m1 - m2) / total
-        worst = max(worst, abs(v * v + p * p + c * c - 1.0))
+        t = triple_of(gt)
+        worst = max(worst, abs(t.V * t.V + t.P * t.P + t.C * t.C - 1.0))
     return CheckResult(
         name="closure-after-measurement",
         passed=worst <= 1e-10,
@@ -146,16 +145,14 @@ def _budget_check() -> CheckResult:
     )
 
 
-def _optimizer_check(seed: int) -> CheckResult:
+def _optimizer_check() -> CheckResult:
     worst = 0.0
     for preset in ("strong", "weak"):
         cfg = preset_config(preset)
         for n in (1, 2):
             for objective in Objective:
                 reference, _ = grid_reference_maximum(cfg, n, objective)
-                achieved = objective_value(
-                    maximize(cfg, n, objective, seed=seed).achieved, objective
-                )
+                achieved = objective_value(maximize(cfg, n, objective).achieved, objective)
                 worst = max(worst, abs(achieved - reference))
     return CheckResult(
         name="small-n-optimizer-reference",
@@ -169,9 +166,9 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run every check; deterministic for fixed (samples, seed, perturb)."""
     return [
-        _closure_check(samples, seed, perturb),
+        _closure_check(samples, seed, _sign_fault if perturb else complementarity_after),
         _evolution_check(seed),
         _projection_check(samples, seed),
         _budget_check(),
-        _optimizer_check(seed),
+        _optimizer_check(),
     ]

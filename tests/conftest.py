@@ -2,9 +2,7 @@ import math
 
 import pytest
 
-from complement_opt import Objective, OptimizerBudget, curve, make_config
-
-ACCEPTANCE_SEED = 11
+from complement_opt import Objective, curve, make_config
 
 
 @pytest.fixture(scope="session")
@@ -19,12 +17,11 @@ def weak():
 
 @pytest.fixture(scope="session")
 def optimized_curves(strong, weak):
-    """Default-budget curves for both presets and all objectives, shared by
-    the acceptance criteria that read different aspects of the same runs."""
-    budget = OptimizerBudget()
+    """Optimized curves for both presets and all objectives, shared by the
+    acceptance criteria that read different aspects of the same runs."""
     configs = {"strong": strong, "weak": weak}
     return {
-        (name, objective): curve(cfg, objective, 20, budget, seed=ACCEPTANCE_SEED)
+        (name, objective): curve(cfg, objective, 20)
         for name, cfg in configs.items()
         for objective in Objective
     }

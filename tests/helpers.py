@@ -7,6 +7,8 @@ against a route they do not share.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from complement_opt import (
     TwoQubitPure,
     make_config,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y)
@@ -66,6 +70,13 @@ def random_basis(rng: np.random.Generator, n: int) -> MeasurementBasis:
     return MeasurementBasis.from_angles(
         zip(rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n))
     )
+
+
+def package_env() -> dict:
+    """Environment for a subprocess whose PYTHONPATH finds the package in src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def orthogonal_pair_angles(theta: float, phi: float) -> tuple[float, float]:

@@ -13,7 +13,6 @@ from complement_opt import (
     DegenerateOutcomeError,
     MeasurementBasis,
     Objective,
-    OptimizerBudget,
     TwoQubitPure,
     complementarity_after,
     delta_d_total,
@@ -34,7 +33,6 @@ from complement_opt.experiments import (
     run_experiment,
     run_table_states,
 )
-from conftest import ACCEPTANCE_SEED
 from helpers import random_basis, random_coupling
 
 
@@ -186,7 +184,7 @@ def test_c04_table_reproduction():
                 f"tabulated {symbol} {tabulated:.3f} by more than 0.01"
             )
     started = time.perf_counter()
-    rows = run_table_states(OptimizerBudget(), seed=ACCEPTANCE_SEED)
+    rows = run_table_states()
     elapsed = time.perf_counter() - started
     mismatches = []
     for row in rows:
@@ -289,10 +287,7 @@ def test_c11_small_n_optimizer_reference(strong, weak):
         for n in (1, 2):
             for objective in Objective:
                 reference, _ = grid_reference_maximum(cfg, n, objective)
-                achieved = objective_value(
-                    maximize(cfg, n, objective, seed=ACCEPTANCE_SEED).achieved,
-                    objective,
-                )
+                achieved = objective_value(maximize(cfg, n, objective).achieved, objective)
                 worst = max(worst, abs(achieved - reference))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-3 and elapsed < 120.0
@@ -303,7 +298,6 @@ def test_c11_small_n_optimizer_reference(strong, weak):
 
 
 def test_c12_experiment_determinism(tmp_path, weak, strong):
-    fast = OptimizerBudget(restarts=4, max_evals=30_000, tol=1e-9)
     specs = [
         ExperimentSpec(
             name="quantity-vs-n", cfg=weak, preset="weak",
@@ -313,8 +307,8 @@ def test_c12_experiment_determinism(tmp_path, weak, strong):
     ]
     identical = True
     for spec in specs:
-        first = run_experiment(spec, fast, seed=5, out_dir=tmp_path / "a")
-        second = run_experiment(spec, fast, seed=5, out_dir=tmp_path / "b")
+        first = run_experiment(spec, out_dir=tmp_path / "a")
+        second = run_experiment(spec, out_dir=tmp_path / "b")
         identical &= first["csv"].read_bytes() == second["csv"].read_bytes()
     _report("C12", "experiment-determinism", identical,
             f"{len(specs)} experiments byte-compared")

@@ -1,11 +1,12 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+from complement_opt import verify
 from complement_opt.cli import main
-
-FAST_FLAGS = ["--restarts", "3", "--max-evals", "20000"]
+from helpers import package_env
 
 
 def run_cli(*args):
@@ -16,8 +17,7 @@ class TestRunCommand:
     def test_quantity_vs_n_writes_files(self, tmp_path, capsys):
         code = run_cli(
             "run", "--experiment", "quantity-vs-n", "--preset", "strong",
-            "--objective", "visibility", "--n-max", "2", "--seed", "1",
-            "--out", str(tmp_path), *FAST_FLAGS,
+            "--objective", "visibility", "--n-max", "2", "--out", str(tmp_path),
         )
         assert code == 0
         csv = tmp_path / "quantity-vs-n" / "strong-visibility.csv"
@@ -29,7 +29,7 @@ class TestRunCommand:
         code = run_cli(
             "run", "--experiment", "quantity-vs-n", "--g", "0", "--T", "1",
             "--N", "4", "--objective", "concurrence", "--n-max", "3",
-            "--out", str(tmp_path), *FAST_FLAGS,
+            "--out", str(tmp_path),
         )
         assert code == 0
         csv = tmp_path / "quantity-vs-n" / "custom-concurrence.csv"
@@ -41,8 +41,7 @@ class TestRunCommand:
 
     def test_table_experiment(self, tmp_path):
         code = run_cli(
-            "run", "--experiment", "table", "--n-max", "1", "--seed", "0",
-            "--out", str(tmp_path), *FAST_FLAGS,
+            "run", "--experiment", "table", "--n-max", "1", "--out", str(tmp_path),
         )
         assert code == 0
         lines = (tmp_path / "table" / "table.csv").read_text().splitlines()
@@ -52,8 +51,7 @@ class TestRunCommand:
     def test_determinism_byte_identical(self, tmp_path):
         args = [
             "run", "--experiment", "quantity-vs-n", "--preset", "weak",
-            "--objective", "concurrence", "--n-max", "2", "--seed", "7",
-            *FAST_FLAGS,
+            "--objective", "concurrence", "--n-max", "2",
         ]
         assert run_cli(*args, "--out", str(tmp_path / "a")) == 0
         assert run_cli(*args, "--out", str(tmp_path / "b")) == 0
@@ -71,8 +69,6 @@ class TestConfigFile:
             "preset = weak\n"
             "objective = visibility\n"
             "n_max = 2\n"
-            "restarts = 3\n"
-            "max_evals = 20000\n"
             f"out = {tmp_path / 'out'}\n"
         )
         code = run_cli("run", "--config", str(config), "--objective", "concurrence")
@@ -109,11 +105,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "'g', 'T', 'N'" in err
 
-    def test_bad_restarts(self, capsys):
-        code = run_cli(
-            "run", "--experiment", "table", "--restarts", "0"
-        )
-        assert code == 2
+    def test_bad_restarts(self, tmp_path, capsys):
+        # restarts is neither a run option nor a config key
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--experiment", "table", "--restarts", "3")
+        assert exc.value.code == 2
+        assert "--restarts" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("experiment = table\nrestarts = 3\n")
+        assert run_cli("run", "--config", str(config)) == 2
         assert "restarts" in capsys.readouterr().err
 
     def test_numeric_domain_error_exit_3(self, tmp_path, capsys):
@@ -124,6 +124,15 @@ class TestValidation:
         )
         assert code == 3
         assert "numeric domain error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g, T", [("0", "inf"), ("nan", "1"), ("inf", "1")])
+    def test_non_finite_coupling_exit_3(self, tmp_path, capsys, g, T):
+        code = run_cli(
+            "run", "--experiment", "distinguishability", "--g", g, "--T", T,
+            "--N", "5", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -137,6 +146,19 @@ class TestVerifyCommand:
         assert run_cli("verify", "--samples", "40", "--seed", "7", "--perturb") == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_verify_checks_the_library_closure(self, monkeypatch, capsys):
+        true_triple = verify.complementarity_after
+
+        def faulty(gt):
+            t = true_triple(gt)
+            return dataclasses.replace(t, C=t.C * 1.01)
+
+        monkeypatch.setattr(verify, "complementarity_after", faulty)
+        assert run_cli("verify", "--samples", "40", "--seed", "7") == 1
+        lines = capsys.readouterr().out.splitlines()
+        closure = next(line for line in lines if line.startswith("closure-after-measurement"))
+        assert closure.split()[1] == "FAIL"
 
     def test_verify_deterministic_report(self, capsys):
         run_cli("verify", "--samples", "40", "--seed", "3")
@@ -154,6 +176,7 @@ def test_console_entry_point_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert result.returncode == 0
     assert (tmp_path / "continuous-limit" / "continuous-limit.csv").exists()

@@ -68,6 +68,22 @@ class TestMakeConfig:
         with pytest.raises(DomainError):
             make_config(g, T, N)
 
+    @pytest.mark.parametrize(
+        "g,T,N",
+        [
+            (0.0, math.inf, 5),        # g*dt = 0 * inf = nan
+            (math.nan, 1.0, 5),
+            (1.0, math.nan, 5),
+            (math.inf, 1.0, 5),
+            (1e300, 1e300, 5),         # finite inputs, g*dt = inf
+            (1.0, 1.0, math.inf),
+            (1.0, 1.0, math.nan),
+        ],
+    )
+    def test_non_finite_inputs(self, g, T, N):
+        with pytest.raises(DomainError):
+            make_config(g, T, N)
+
 
 class TestEvolution:
     def test_initial_bell_state(self, strong):

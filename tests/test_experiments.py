@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from complement_opt import DomainError, Objective, OptimizerBudget, make_config
+from complement_opt import DomainError, Objective, make_config
 from complement_opt.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -19,8 +19,6 @@ from complement_opt.experiments import (
     run_uniform_sweep,
 )
 from complement_opt.collisions import continuous_limit_gap
-
-FAST = OptimizerBudget(restarts=6, max_evals=50_000, tol=1e-9)
 
 
 class TestPresets:
@@ -38,7 +36,7 @@ class TestPresets:
 
 class TestQuantityVsN:
     def test_rows_and_closure(self, strong):
-        records = run_quantity_vs_n(strong, Objective.VISIBILITY, 3, FAST, seed=4)
+        records = run_quantity_vs_n(strong, Objective.VISIBILITY, 3)
         assert [r.n for r in records] == [1, 2, 3]
         for r in records:
             assert abs(r.V**2 + r.P**2 + r.C**2 - 1.0) <= 1e-10
@@ -46,21 +44,21 @@ class TestQuantityVsN:
             assert 0.0 < r.outcome_probability <= 1.0 + 1e-12
 
     def test_reservoir_column_default_rate(self, strong):
-        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 3, FAST, seed=4)
+        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 3)
         for r in records:
             expected = math.exp(-strong.k * r.n * strong.dt / 2.0)
             assert r.reservoir_C == pytest.approx(expected, abs=1e-15)
 
     def test_reservoir_column_custom_rate(self, strong):
         records = run_quantity_vs_n(
-            strong, Objective.CONCURRENCE, 2, FAST, seed=4, reservoir_k=3.0
+            strong, Objective.CONCURRENCE, 2, reservoir_k=3.0
         )
         assert records[0].reservoir_C == pytest.approx(
             math.exp(-1.5 * strong.dt), abs=1e-15
         )
 
     def test_strong_concurrence_tracks_reservoir_shape(self, strong):
-        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 6, FAST, seed=4)
+        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 6)
         for r in records:
             if r.n >= 4:
                 assert abs(r.C - r.reservoir_C) <= 0.1
@@ -137,18 +135,18 @@ class TestDistinguishabilityProfile:
 class TestDeltaD:
     def test_conserving_objectives_show_no_change(self, strong):
         for objective in (Objective.PREDICTABILITY, Objective.CONCURRENCE):
-            rows = run_delta_d(strong, objective, 4, FAST, seed=4)
+            rows = run_delta_d(strong, objective, 4)
             for _, _, dd_total, _ in rows:
                 assert abs(dd_total) <= 0.02
 
     def test_eraser_erases_strong(self, strong):
-        rows = run_delta_d(strong, Objective.VISIBILITY, 4, FAST, seed=4)
+        rows = run_delta_d(strong, Objective.VISIBILITY, 4)
         n4 = rows[3]
         assert n4[0] == 4
         assert n4[2] <= -0.9
 
     def test_pair_column_formula(self, strong):
-        rows = run_delta_d(strong, Objective.VISIBILITY, 3, FAST, seed=4)
+        rows = run_delta_d(strong, Objective.VISIBILITY, 3)
         for n, v, _, dd_pair in rows:
             expected = math.sqrt(max(0.0, 1.0 - min(v, 1.0) ** 2)) - strong.a ** (2 * n)
             assert dd_pair == pytest.approx(expected, abs=1e-12)
@@ -156,7 +154,7 @@ class TestDeltaD:
 
 class TestTableStates:
     def test_canonical_phase_and_layout(self):
-        rows = run_table_states(FAST, seed=4, ns=(1,))
+        rows = run_table_states(ns=(1,))
         assert len(rows) == 6
         for row in rows:
             reference = next(c for c in (row.c10, row.c00, row.c01) if abs(c) > 1e-6)
@@ -166,7 +164,7 @@ class TestTableStates:
             assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_cells_cover_objectives_and_presets(self):
-        rows = run_table_states(FAST, seed=4, ns=(1, 2))
+        rows = run_table_states(ns=(1, 2))
         keys = {(r.objective, r.preset, r.n) for r in rows}
         assert len(keys) == 12
 
@@ -184,20 +182,19 @@ class TestRunExperiment:
             name="quantity-vs-n", cfg=strong, preset="strong",
             objective=Objective.VISIBILITY, n_max=2,
         )
-        paths = run_experiment(spec, FAST, seed=4, out_dir=tmp_path)
+        paths = run_experiment(spec, out_dir=tmp_path)
         assert paths["csv"].name == "strong-visibility.csv"
         header = paths["csv"].read_text().splitlines()[0]
         assert header == "n,V,P,C,reservoir_C,outcome_probability,angles"
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["experiment"] == "quantity-vs-n"
-        assert manifest["seed"] == 4
-        assert manifest["budget"]["restarts"] == FAST.restarts
+        assert "seed" not in manifest and "budget" not in manifest
         assert manifest["coupling"]["g"] == 4.0
         assert "wall_time_s" in manifest
 
     def test_float_round_trip(self, tmp_path, strong):
         spec = ExperimentSpec(name="distinguishability", cfg=strong, preset="strong")
-        paths = run_experiment(spec, FAST, seed=0, out_dir=tmp_path)
+        paths = run_experiment(spec, out_dir=tmp_path)
         lines = paths["csv"].read_text().splitlines()[1:]
         first = lines[0].split(",")
         assert float(first[1]) == math.sin(0.4 * math.pi) ** 2
@@ -206,7 +203,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             name="uniform-sweep", cfg=strong, preset="strong", n_max=3, theta_steps=12
         )
-        paths = run_experiment(spec, FAST, seed=0, out_dir=tmp_path)
+        paths = run_experiment(spec, out_dir=tmp_path)
         rows = [line.split(",") for line in paths["csv"].read_text().splitlines()[1:]]
         degenerate = [r for r in rows if r[2] == ""]
         assert degenerate, "expected empty cells at theta = pi/2 for n >= 2"
@@ -216,17 +213,17 @@ class TestRunExperiment:
             name="quantity-vs-n", cfg=weak, preset="weak",
             objective=Objective.CONCURRENCE, n_max=2,
         )
-        first = run_experiment(spec, FAST, seed=9, out_dir=tmp_path / "a")
-        second = run_experiment(spec, FAST, seed=9, out_dir=tmp_path / "b")
+        first = run_experiment(spec, out_dir=tmp_path / "a")
+        second = run_experiment(spec, out_dir=tmp_path / "b")
         assert first["csv"].read_bytes() == second["csv"].read_bytes()
 
     def test_unknown_experiment(self, tmp_path, strong):
         with pytest.raises(DomainError):
-            run_experiment(ExperimentSpec(name="bogus", cfg=strong), FAST, 0, tmp_path)
+            run_experiment(ExperimentSpec(name="bogus", cfg=strong), tmp_path)
 
     def test_missing_coupling_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            run_experiment(ExperimentSpec(name="quantity-vs-n"), FAST, 0, tmp_path)
+            run_experiment(ExperimentSpec(name="quantity-vs-n"), tmp_path)
 
     def test_experiment_registry(self):
         assert set(EXPERIMENTS) == {

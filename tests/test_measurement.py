@@ -55,6 +55,15 @@ class TestGammaCoefficients:
         assert gt.gamma3 == pytest.approx(SQRT1_2)
         assert gt.outcome_probability == pytest.approx(1.0, abs=1e-14)
 
+    def test_bookkeeping_is_python_float(self, strong):
+        # numpy scalars must not leak into results, CSVs or manifests
+        for n in (0, 1, 6):
+            gt = gamma_coefficients(strong, MeasurementBasis.uniform(0.3, 0.2, n), n)
+            assert type(gt.outcome_probability) is float
+            assert type(gt.norm_factor) is float
+        gt = uniform_gamma(strong, 0.3, 0.2, 6)
+        assert type(gt.outcome_probability) is float and type(gt.norm_factor) is float
+
     def test_all_zero_angles(self, strong):
         n = 6
         gt = gamma_coefficients(strong, MeasurementBasis.uniform(0.0, 0.0, n), n)
@@ -275,7 +284,7 @@ class TestDeltaD:
     def test_pair_after_eraser_suppression(self, strong):
         # a predictability-maximizing run leaves V ~ 0, so the pair picks up
         # nearly the whole 1 - a^(2n) that was stored on the probes
-        result = maximize(strong, 10, Objective.PREDICTABILITY, seed=2)
+        result = maximize(strong, 10, Objective.PREDICTABILITY)
         v = result.achieved.V
         value = delta_d_pair(strong, 10, v)
         assert value == pytest.approx(1.0 - strong.a**20, abs=1e-6)

@@ -1,21 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 
 from complement_opt import (
+    DegenerateOutcomeError,
     DomainError,
+    MeasurementBasis,
     Objective,
-    OptimizerBudget,
     complementarity_after,
     curve,
     gamma_coefficients,
-    greedy_curve,
     grid_reference_maximum,
+    make_config,
     maximize,
+    objective_value,
     postselected_state,
 )
-
-FAST = OptimizerBudget(restarts=6, max_evals=50_000, tol=1e-9)
+from helpers import random_basis
 
 
 def analytic_concurrence_max(cfg, n):
@@ -27,17 +29,22 @@ def analytic_visibility_max(cfg, n):
     return 1.0 / math.sqrt(1.0 + cfg.a ** (2 * n))
 
 
+def small_a_config(phase):
+    """Twenty probes with g*dt = phase."""
+    return make_config(phase, 20.0, 20)
+
+
 class TestMaximizeBasics:
     def test_n_zero_is_bell(self, strong):
         for objective in Objective:
-            result = maximize(strong, 0, objective, FAST, seed=0)
+            result = maximize(strong, 0, objective)
             t = result.achieved
             assert (t.V, t.P, t.C) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
             assert len(result.basis) == 0
             assert result.outcome_probability == pytest.approx(1.0, abs=1e-14)
 
     def test_result_consistency(self, strong):
-        result = maximize(strong, 4, Objective.VISIBILITY, FAST, seed=5)
+        result = maximize(strong, 4, Objective.VISIBILITY)
         gt = gamma_coefficients(strong, result.basis, 4)
         re_evaluated = complementarity_after(gt)
         assert abs(re_evaluated.V - result.achieved.V) <= 1e-12
@@ -46,94 +53,133 @@ class TestMaximizeBasics:
     def test_closure_on_returned_triples(self, strong, weak):
         for cfg in (strong, weak):
             for objective in Objective:
-                result = maximize(cfg, 3, objective, FAST, seed=6)
+                result = maximize(cfg, 3, objective)
                 assert abs(result.achieved.closure_residual) <= 1e-10
 
     def test_achieved_dominates_start_points(self, strong):
-        result = maximize(strong, 3, Objective.VISIBILITY, FAST, seed=7)
+        result = maximize(strong, 3, Objective.VISIBILITY)
         achieved = result.achieved.V
         for start in (0.0, math.pi / 4.0):
-            gt = gamma_coefficients(
-                strong,
-                type(result.basis).uniform(start, 0.0, 3),
-                3,
-            )
+            gt = gamma_coefficients(strong, MeasurementBasis.uniform(start, 0.0, 3), 3)
             assert achieved >= complementarity_after(gt).V - 1e-9
 
-    def test_invalid_restarts(self, strong):
-        with pytest.raises(DomainError):
-            maximize(strong, 2, Objective.CONCURRENCE, OptimizerBudget(restarts=0))
+    def test_dominates_random_bases(self, strong, weak):
+        rng = np.random.default_rng(17)
+        for cfg in (strong, weak):
+            for n in (1, 2, 5):
+                for objective in Objective:
+                    best = objective_value(maximize(cfg, n, objective).achieved, objective)
+                    for _ in range(100):
+                        try:
+                            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
+                        except DegenerateOutcomeError:
+                            continue
+                        value = objective_value(complementarity_after(gt), objective)
+                        assert value <= best + 1e-12
 
-    def test_budget_exhaustion_still_returns(self, strong):
-        result = maximize(
-            strong, 5, Objective.VISIBILITY,
-            OptimizerBudget(restarts=2, max_evals=60, tol=1e-9), seed=0,
-        )
-        assert not result.converged
-        assert 0.0 <= result.achieved.V <= 1.0 + 1e-12
+    def test_zero_coupling_keeps_the_bell_pair(self):
+        cfg = make_config(0.0, 1.0, 4)
+        for objective in Objective:
+            for n in range(5):
+                result = maximize(cfg, n, objective)
+                t = result.achieved
+                assert (t.V, t.P, t.C) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
+                assert result.outcome_probability == pytest.approx(1.0, abs=1e-14)
+
+
+class TestOutcomeProbability:
+    def test_predictability_strong_n2_is_most_probable_optimum(self, strong):
+        result = maximize(strong, 2, Objective.PREDICTABILITY)
+        assert result.achieved.P == pytest.approx(1.0, abs=1e-12)
+        assert result.outcome_probability == pytest.approx(abs(strong.b) ** 2 / 2, abs=1e-12)
+        assert result.outcome_probability == pytest.approx(0.452, abs=1e-3)
+
+    def test_predictability_tie_prefers_higher_probability(self, strong):
+        # strong n = 10: (1 - s)/(1 + s) is within 1e-9 of P = 1 and the
+        # x = 0 record is more probable than post-selecting onto probe 1
+        s = strong.a**20
+        result = maximize(strong, 10, Objective.PREDICTABILITY)
+        assert result.achieved.P == pytest.approx(1.0, abs=1e-9)
+        assert result.outcome_probability == pytest.approx((1 + s) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 20])
+    def test_concurrence_probability(self, strong, weak, n):
+        for cfg in (strong, weak):
+            s = cfg.a ** (2 * n)
+            result = maximize(cfg, n, Objective.CONCURRENCE)
+            assert result.outcome_probability == pytest.approx((1 + s) / 2, abs=1e-12)
+            assert type(result.outcome_probability) is float
+
+
+class TestKnownLimit:
+    def test_tiny_coupling_raises_for_visibility_and_predictability(self):
+        cfg = small_a_config(1e-16)
+        for objective in (Objective.VISIBILITY, Objective.PREDICTABILITY):
+            with pytest.raises(DegenerateOutcomeError):
+                maximize(cfg, 1, objective)
+        assert maximize(cfg, 1, Objective.CONCURRENCE).achieved.C == pytest.approx(1.0)
+
+    def test_small_coupling_still_reaches_optimum(self):
+        cfg = small_a_config(1e-8)
+        result = maximize(cfg, 1, Objective.VISIBILITY)
+        assert result.achieved.V == pytest.approx(analytic_visibility_max(cfg, 1), abs=1e-7)
 
 
 class TestDeterminism:
     def test_bit_for_bit_repeatability(self, weak):
-        a = maximize(weak, 5, Objective.VISIBILITY, FAST, seed=42)
-        b = maximize(weak, 5, Objective.VISIBILITY, FAST, seed=42)
+        a = maximize(weak, 5, Objective.VISIBILITY)
+        b = maximize(weak, 5, Objective.VISIBILITY)
         assert a.basis.angles == b.basis.angles
         assert a.achieved == b.achieved
         assert a.outcome_probability == b.outcome_probability
-        assert a.evaluations == b.evaluations
-
-    def test_thread_cap_preserves_results(self, weak, monkeypatch):
-        sequential = maximize(weak, 4, Objective.CONCURRENCE, FAST, seed=8)
-        monkeypatch.setenv("COMPLEMENT_OPT_THREADS", "4")
-        threaded = maximize(weak, 4, Objective.CONCURRENCE, FAST, seed=8)
-        assert threaded.basis.angles == sequential.basis.angles
-        assert threaded.achieved == sequential.achieved
-
-    def test_restart_monotonicity(self, strong):
-        values = []
-        for restarts in (1, 2, 4, 8):
-            result = maximize(
-                strong, 3, Objective.VISIBILITY,
-                OptimizerBudget(restarts=restarts, max_evals=50_000, tol=1e-9),
-                seed=9,
-            )
-            values.append(result.achieved.V)
-        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestAgainstAnalyticOptima:
-    @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_concurrence_optimum(self, strong, weak, n):
-        for cfg in (strong, weak):
-            result = maximize(cfg, n, Objective.CONCURRENCE, FAST, seed=1)
+    # g*dt = 1.45 and 1.5 put a = cos(g*dt) at about 0.12 and 0.07
+    @pytest.fixture(scope="class")
+    def configs(self, strong, weak):
+        return (strong, weak, small_a_config(1.45), small_a_config(1.5))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_concurrence_optimum(self, configs, n):
+        for cfg in configs:
+            result = maximize(cfg, n, Objective.CONCURRENCE)
             assert result.achieved.C == pytest.approx(
                 analytic_concurrence_max(cfg, n), abs=1e-7
             )
 
-    @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_visibility_optimum(self, strong, weak, n):
-        for cfg in (strong, weak):
-            result = maximize(cfg, n, Objective.VISIBILITY, FAST, seed=1)
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_visibility_optimum(self, configs, n):
+        for cfg in configs:
+            result = maximize(cfg, n, Objective.VISIBILITY)
             assert result.achieved.V == pytest.approx(
                 analytic_visibility_max(cfg, n), abs=1e-7
             )
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_predictability_reaches_one(self, strong, weak, n):
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_predictability_reaches_one(self, configs, n):
         # post-selecting the excitation onto one probe leaves exactly |00>
-        for cfg in (strong, weak):
-            result = maximize(cfg, n, Objective.PREDICTABILITY, FAST, seed=1)
+        for cfg in configs:
+            result = maximize(cfg, n, Objective.PREDICTABILITY)
             assert result.achieved.P == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("phase", [1.45, 1.5])
+    def test_predictability_at_small_a(self, phase):
+        # at n = 1 the x = 0 branch gives P = 0.971 and 0.990, close to but
+        # short of P* = 1
+        cfg = small_a_config(phase)
+        for n in range(1, 7):
+            assert maximize(cfg, n, Objective.PREDICTABILITY).achieved.P >= 1.0 - 1e-9
+
     def test_weak_concurrence_state_n10(self, weak):
-        result = maximize(weak, 10, Objective.CONCURRENCE, FAST, seed=1)
+        result = maximize(weak, 10, Objective.CONCURRENCE)
         assert result.achieved.C >= 0.98
         state = postselected_state(gamma_coefficients(weak, result.basis, 10))
         assert abs(state.c01) == pytest.approx(0.69, abs=0.03)
         assert abs(state.c10) == pytest.approx(0.72, abs=0.03)
 
     def test_strong_concurrence_collapse_n10(self, strong):
-        result = maximize(strong, 10, Objective.CONCURRENCE, FAST, seed=1)
+        result = maximize(strong, 10, Objective.CONCURRENCE)
         assert result.achieved.C <= 0.05
         state = postselected_state(gamma_coefficients(strong, result.basis, 10))
         assert abs(state.c10) >= 0.999
@@ -141,24 +187,10 @@ class TestAgainstAnalyticOptima:
 
 class TestCurves:
     def test_curve_shape_and_closure(self, weak):
-        results = curve(weak, Objective.CONCURRENCE, 5, FAST, seed=3)
+        results = curve(weak, Objective.CONCURRENCE, 5)
         assert [r.n for r in results] == [1, 2, 3, 4, 5]
         for r in results:
             assert abs(r.achieved.closure_residual) <= 1e-10
-
-    def test_warm_start_tracks_scratch_optimum(self, weak):
-        plain = curve(weak, Objective.CONCURRENCE, 4, FAST, seed=3)
-        warm = curve(weak, Objective.CONCURRENCE, 4, FAST, seed=3, warm_start=True)
-        for p, w in zip(plain, warm):
-            assert w.achieved.C == pytest.approx(p.achieved.C, abs=1e-6)
-
-    def test_greedy_variant_is_valid_but_labeled_separately(self, weak):
-        greedy = greedy_curve(weak, Objective.VISIBILITY, 4, FAST, seed=3)
-        joint = curve(weak, Objective.VISIBILITY, 4, FAST, seed=3)
-        for g, j in zip(greedy, joint):
-            assert abs(g.achieved.closure_residual) <= 1e-10
-            # greedy can never beat the joint optimum (up to solver precision)
-            assert g.achieved.V <= j.achieved.V + 1e-6
 
 
 class TestGridReference:
