@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Thin dispatch layer: parses a flat key=value config file and/or flags into a
-validated :class:`RunConfig`, hands off to the experiments module, and maps
-error classes to exit codes (2 for configuration problems, 3 for numeric
-domain errors raised by the physics layer).  No numerics live here.
+Thin dispatch layer: ``FIELDS`` defines every ``run`` field once, and both the
+flags and the keys of a flat key=value config file are generated from it.
+The parsed values are validated against the experiment registry and become an
+:class:`ExperimentSpec`; error classes map to exit codes (2 for configuration
+problems, 3 for numeric domain errors raised by the physics layer).  No
+numerics live here.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -18,7 +20,14 @@ from .errors import (
     NormalizationError,
     RangeError,
 )
-from .experiments import EXPERIMENTS, PRESETS, ExperimentSpec, preset_config, run_experiment
+from .experiments import (
+    DEFAULT_OUT,
+    EXPERIMENTS,
+    PRESETS,
+    ExperimentSpec,
+    preset_config,
+    run_experiment,
+)
 from .collisions import make_config
 from .optimize import Objective
 from .verify import run_verification
@@ -31,41 +40,28 @@ class ConfigError(ValueError):
 _OBJECTIVES = {o.value: o for o in Objective}
 
 
-@dataclass
-class RunConfig:
-    """Validated description of one CLI run."""
-
-    experiment: str = ""
-    preset: str | None = None
-    g: float | None = None
-    T: float | None = None
-    N: int | None = None
-    objective: str | None = None
-    n_max: int = 20
-    out: str = "results"
-    theta_steps: int = 60
-    phi: float = 0.0
-    reservoir_k: float | None = None
-    limit_k: float = 3.0
-    limit_T: float = 1.0
-    limit_N: str = "64,128,256,512,1024,2048,4096"
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-_PARSERS = {
-    "experiment": str,
-    "preset": str,
-    "g": float,
-    "T": float,
-    "N": int,
-    "objective": str,
-    "n_max": int,
-    "out": str,
-    "theta_steps": int,
-    "phi": float,
-    "reservoir_k": float,
-    "limit_k": float,
-    "limit_T": float,
-    "limit_N": str,
+#: run field -> (parser of its text, help).  Each field is both a flag
+#: (underscores become dashes) and a config-file key; defaults live on
+#: ExperimentSpec, and a field left unset keeps that default.
+FIELDS = {
+    "experiment": (str, f"study to run: {', '.join(EXPERIMENTS)}"),
+    "preset": (str, f"named coupling: {' or '.join(PRESETS)}"),
+    "g": (float, "coupling strength"),
+    "T": (float, "total interaction time"),
+    "N": (int, "number of probe qubits"),
+    "objective": (str, f"quantity to maximize: {', '.join(_OBJECTIVES)}"),
+    "n_max": (int, "largest collision count n"),
+    "out": (str, f"output directory (default: {DEFAULT_OUT})"),
+    "theta_steps": (int, "intervals of the shared-basis theta grid over [0, pi]"),
+    "phi": (float, "azimuth of the shared basis"),
+    "reservoir_k": (float, "decay rate of the reservoir column (default: g^2 T / N)"),
+    "limit_k": (float, "rate k of the exp(-kT/2) limit"),
+    "limit_T": (float, "time T of the exp(-kT/2) limit"),
+    "limit_N": (_int_list, "comma-separated N schedule approaching that limit"),
 }
 
 
@@ -81,103 +77,85 @@ def _parse_config_file(path: Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _PARSERS:
+        if key not in FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _PARSERS[key](value)
+            values[key] = FIELDS[key][0](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config is not None:
-        values.update(_parse_config_file(Path(args.config)))
-    for key in _PARSERS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
+def _run_values(args: argparse.Namespace) -> dict:
+    """The set fields: the config file's, overridden by the flags given."""
+    values = _parse_config_file(Path(args.config)) if args.config is not None else {}
+    values.update(
+        (key, getattr(args, key)) for key in FIELDS if getattr(args, key) is not None
+    )
+    return values
 
 
-def _validate(cfg: RunConfig) -> None:
-    if not cfg.experiment:
+def _validate(values: dict) -> None:
+    name = values.get("experiment")
+    if not name:
         raise ConfigError("field 'experiment' is required")
-    if cfg.experiment not in EXPERIMENTS:
+    if name not in EXPERIMENTS:
         raise ConfigError(
-            f"field 'experiment': unknown experiment {cfg.experiment!r}; "
+            f"field 'experiment': unknown experiment {name!r}; "
             f"choose from {', '.join(EXPERIMENTS)}"
         )
-    if cfg.preset is not None and cfg.preset not in PRESETS:
+    preset = values.get("preset")
+    if preset is not None and preset not in PRESETS:
         raise ConfigError(
-            f"field 'preset': unknown preset {cfg.preset!r}; choose from {sorted(PRESETS)}"
+            f"field 'preset': unknown preset {preset!r}; choose from {sorted(PRESETS)}"
         )
-    explicit = [cfg.g is not None, cfg.T is not None, cfg.N is not None]
+    explicit = [key in values for key in ("g", "T", "N")]
     if any(explicit) and not all(explicit):
         raise ConfigError("fields 'g', 'T', 'N' must be given together")
-    needs_cfg = cfg.experiment in (
-        "quantity-vs-n", "uniform-sweep", "distinguishability", "delta-d"
-    )
-    if needs_cfg and cfg.preset is None and not all(explicit):
+    reads = EXPERIMENTS[name].fields
+    if "cfg" in reads and preset is None and not all(explicit):
         raise ConfigError(
-            f"experiment {cfg.experiment!r} needs field 'preset' or explicit 'g', 'T', 'N'"
+            f"experiment {name!r} needs field 'preset' or explicit 'g', 'T', 'N'"
         )
-    if cfg.objective is not None and cfg.objective not in _OBJECTIVES:
+    objective = values.get("objective")
+    if objective is not None and objective not in _OBJECTIVES:
         raise ConfigError(
-            f"field 'objective': unknown objective {cfg.objective!r}; "
+            f"field 'objective': unknown objective {objective!r}; "
             f"choose from {sorted(_OBJECTIVES)}"
         )
-    if cfg.experiment in ("quantity-vs-n", "delta-d") and cfg.objective is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} needs field 'objective'")
-    if cfg.n_max < 0:
-        raise ConfigError(f"field 'n_max' must be >= 0, got {cfg.n_max}")
-    if cfg.theta_steps < 1:
-        raise ConfigError(f"field 'theta_steps' must be >= 1, got {cfg.theta_steps}")
-    try:
-        parsed = [int(x) for x in cfg.limit_N.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"field 'limit_N': {exc}") from exc
-    if not parsed:
+    if "objective" in reads and objective is None:
+        raise ConfigError(f"experiment {name!r} needs field 'objective'")
+    if values.get("n_max", 0) < 0:
+        raise ConfigError(f"field 'n_max' must be >= 0, got {values['n_max']}")
+    if values.get("theta_steps", 1) < 1:
+        raise ConfigError(f"field 'theta_steps' must be >= 1, got {values['theta_steps']}")
+    if values.get("limit_N") == ():
         raise ConfigError("field 'limit_N' must list at least one N")
 
 
-def _to_spec(cfg: RunConfig) -> ExperimentSpec:
-    coupling = None
-    preset_label = cfg.preset
-    if cfg.preset is not None:
-        coupling = preset_config(cfg.preset)
-    elif cfg.g is not None:
-        coupling = make_config(cfg.g, cfg.T, cfg.N)
-        preset_label = "custom"
-    objective = _OBJECTIVES[cfg.objective] if cfg.objective else None
-    return ExperimentSpec(
-        name=cfg.experiment,
-        cfg=coupling,
-        preset=preset_label,
-        objective=objective,
-        n_max=cfg.n_max,
-        theta_steps=cfg.theta_steps,
-        phi=cfg.phi,
-        reservoir_k=cfg.reservoir_k,
-        limit_k=cfg.limit_k,
-        limit_T=cfg.limit_T,
-        limit_N=tuple(int(x) for x in cfg.limit_N.split(",") if x.strip()),
-    )
+def _spec(values: dict) -> ExperimentSpec:
+    """The ExperimentSpec of validated run fields (``out`` is not part of it)."""
+    fields = {key: value for key, value in values.items() if key != "out"}
+    g, T, N = (fields.pop(key, None) for key in ("g", "T", "N"))
+    if fields.get("preset") is not None:
+        fields["cfg"] = preset_config(fields["preset"])
+    elif g is not None:
+        fields["cfg"] = make_config(g, T, N)
+        fields["preset"] = "custom"
+    if "objective" in fields:
+        fields["objective"] = _OBJECTIVES[fields["objective"]]
+    return ExperimentSpec(name=fields.pop("experiment"), **fields)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        run_cfg = _build_run_config(args)
+        values = _run_values(args)
+        _validate(values)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        spec = _to_spec(run_cfg)
-        paths = run_experiment(spec, out_dir=run_cfg.out)
+        paths = run_experiment(_spec(values), out_dir=values.get("out", DEFAULT_OUT))
     except (DomainError, RangeError, NormalizationError, DegenerateOutcomeError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 3
@@ -187,8 +165,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # flags left out are absent from args, so run_verification's defaults apply
     results = run_verification(
-        samples=args.samples, seed=args.seed, perturb=args.perturb
+        **{key: getattr(args, key) for key in ("samples", "seed", "perturb") if key in args}
     )
     width = max(len(r.name) for r in results)
     for r in results:
@@ -197,7 +176,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: building it costs
+    more than a small run, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="complement-opt",
         description=(
@@ -209,19 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one experiment and write CSV + manifest")
     run.add_argument("--config", help="flat key=value config file; flags override it")
-    run.add_argument("--experiment", choices=EXPERIMENTS)
-    run.add_argument("--preset", help="named coupling: strong or weak")
-    run.add_argument("--g", type=float, help="coupling strength")
-    run.add_argument("--T", type=float, help="total interaction time")
-    run.add_argument("--N", type=int, help="number of probe qubits")
-    run.add_argument("--objective", help="visibility, predictability or concurrence")
-    run.add_argument("--n-max", dest="n_max", type=int)
-    run.add_argument("--out", help="output directory (default: results)")
+    for key, (parse, text) in FIELDS.items():
+        run.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, help=text)
     run.set_defaults(func=_cmd_run)
 
-    verify = sub.add_parser("verify", help="run the built-in invariant suite")
-    verify.add_argument("--samples", type=int, default=500)
-    verify.add_argument("--seed", type=int, default=0)
+    verify = sub.add_parser(
+        "verify", help="run the built-in invariant suite", argument_default=argparse.SUPPRESS
+    )
+    verify.add_argument("--samples", type=int, help="random cases per sampled check")
+    verify.add_argument("--seed", type=int, help="seed of the random cases")
     verify.add_argument(
         "--perturb",
         action="store_true",

@@ -157,6 +157,8 @@ def concurrence_unmeasured(cfg: CouplingConfig, n: int) -> float:
 
 def reservoir_limit_concurrence(k: float, t: float) -> float:
     """Pair concurrence in the many-probe (Markovian) limit, exp(-k t / 2)."""
+    if not (0.0 <= k < math.inf and 0.0 <= t < math.inf):
+        raise DomainError(f"rate k and time t must be finite and >= 0, got k={k}, t={t}")
     return math.exp(-k * t / 2.0)
 
 
@@ -169,6 +171,8 @@ def continuous_limit_gap(k: float, T: float, N: int) -> float:
     """
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
+    if not (math.isfinite(k) and math.isfinite(T)):
+        raise DomainError(f"k and T must be finite, got k={k}, T={T}")
     x = k * T / N
     if x < 0 or math.sqrt(x) >= math.pi / 2:
         raise DomainError(

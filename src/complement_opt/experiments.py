@@ -1,12 +1,12 @@
 """Experiment harness: named studies, CSV emission and run manifests.
 
 Each study produces plain records so callers can post-process or plot as they
-like; ``run_experiment`` routes a declarative :class:`ExperimentSpec` to the
-right study and persists one CSV per experiment plus a JSON manifest capturing
-enough provenance (parameters, versions) to reproduce the file.  CSV floats
-are serialized with 17 significant digits, so identical spec reruns are
-byte-identical; the manifest additionally records wall time and is
-therefore excluded from that guarantee.
+like.  ``EXPERIMENTS`` registers every named study with its CSV rows, header
+and the :class:`ExperimentSpec` fields it reads; ``run_experiment`` looks a
+spec up there and persists one CSV plus a JSON manifest recording exactly
+those fields and the versions used.  CSV floats are serialized with 17
+significant digits, so identical spec reruns are byte-identical; the manifest
+additionally records wall time and is therefore excluded from that guarantee.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,16 +39,7 @@ PRESETS: dict[str, dict] = {
     "weak": {"g": 0.25, "T": 2.0 * math.pi, "N_total": 20},
 }
 
-EXPERIMENTS = (
-    "quantity-vs-n",
-    "uniform-sweep",
-    "distinguishability",
-    "delta-d",
-    "table",
-    "continuous-limit",
-)
-
-_DEFAULT_LIMIT_N = (64, 128, 256, 512, 1024, 2048, 4096)
+DEFAULT_OUT = "results"
 
 
 def preset_config(name: str) -> CouplingConfig:
@@ -62,8 +53,9 @@ class ExperimentSpec:
     """Declarative description of one study.
 
     ``preset`` is a label used for file naming and the manifest; ``cfg`` is
-    the coupling actually used.  Fields irrelevant to a given experiment are
-    ignored by it.
+    the coupling actually used.  Each experiment reads only the fields its
+    ``EXPERIMENTS`` entry lists and ignores the rest.  These defaults are the
+    only ones: the CLI leaves a field it was not given unset.
     """
 
     name: str
@@ -76,7 +68,7 @@ class ExperimentSpec:
     reservoir_k: float | None = None
     limit_k: float = 3.0
     limit_T: float = 1.0
-    limit_N: tuple[int, ...] = _DEFAULT_LIMIT_N
+    limit_N: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
 @dataclass(frozen=True)
@@ -257,7 +249,81 @@ def run_continuous_limit_convergence(
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# registry and persistence
+
+def _angles_field(angles: Sequence[float]) -> str:
+    return " ".join(f"{a:.17g}" for a in angles)
+
+
+def _curve_rows(spec: ExperimentSpec):
+    for r in run_quantity_vs_n(spec.cfg, spec.objective, spec.n_max, spec.reservoir_k):
+        yield (r.n, r.V, r.P, r.C, r.reservoir_C, r.outcome_probability, _angles_field(r.angles))
+
+
+def _sweep_rows(spec: ExperimentSpec):
+    sweep = run_uniform_sweep(spec.cfg, spec.n_max, spec.theta_steps, spec.phi)
+    for i, n in enumerate(sweep.ns):
+        for j, theta in enumerate(sweep.thetas):
+            yield (int(n), float(theta), sweep.V[i, j], sweep.P[i, j], sweep.C[i, j])
+
+
+def _table_rows(spec: ExperimentSpec):
+    for r in run_table_states():
+        yield (
+            r.objective, r.preset, r.n,
+            r.c00.real, r.c00.imag, r.c01.real, r.c01.imag, r.c10.real, r.c10.imag,
+            r.achieved, r.outcome_probability,
+        )
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A named study: its CSV rows and header, and the :class:`ExperimentSpec`
+    fields it reads.  Those fields are what its manifest records; a study that
+    reads ``cfg`` or ``objective`` cannot run without it."""
+
+    rows: Callable[[ExperimentSpec], Iterable[Sequence]]
+    header: tuple[str, ...]
+    fields: tuple[str, ...]
+
+
+_COUPLED = ("preset", "cfg")
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "quantity-vs-n": Experiment(
+        _curve_rows,
+        ("n", "V", "P", "C", "reservoir_C", "outcome_probability", "angles"),
+        (*_COUPLED, "objective", "n_max", "reservoir_k"),
+    ),
+    "uniform-sweep": Experiment(
+        _sweep_rows, ("n", "theta", "V", "P", "C"), (*_COUPLED, "n_max", "theta_steps", "phi")
+    ),
+    "distinguishability": Experiment(
+        lambda spec: run_distinguishability_profile(spec.cfg),
+        ("i", "d_qa_qi", "d_qa_qb"),
+        _COUPLED,
+    ),
+    "delta-d": Experiment(
+        lambda spec: run_delta_d(spec.cfg, spec.objective, spec.n_max),
+        ("n", "V", "delta_d_total", "delta_d_pair"),
+        (*_COUPLED, "objective", "n_max"),
+    ),
+    "table": Experiment(
+        _table_rows,
+        (
+            "objective", "preset", "n",
+            "c00_re", "c00_im", "c01_re", "c01_im", "c10_re", "c10_im",
+            "achieved", "outcome_probability",
+        ),
+        (),
+    ),
+    "continuous-limit": Experiment(
+        lambda spec: run_continuous_limit_convergence(spec.limit_k, spec.limit_T, spec.limit_N),
+        ("N", "gap"),
+        ("limit_k", "limit_T", "limit_N"),
+    ),
+}
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -274,63 +340,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _angles_field(angles: Sequence[float]) -> str:
-    return " ".join(f"{a:.17g}" for a in angles)
-
-
-def write_curve_csv(records: Sequence[CurveRecord], path: Path) -> None:
-    _write_csv(
-        path,
-        ["n", "V", "P", "C", "reservoir_C", "outcome_probability", "angles"],
-        [
-            (r.n, r.V, r.P, r.C, r.reservoir_C, r.outcome_probability, _angles_field(r.angles))
-            for r in records
-        ],
-    )
-
-
-def write_sweep_csv(sweep: UniformSweepResult, path: Path) -> None:
-    rows = []
-    for i, n in enumerate(sweep.ns):
-        for j, theta in enumerate(sweep.thetas):
-            rows.append(
-                (int(n), float(theta), sweep.V[i, j], sweep.P[i, j], sweep.C[i, j])
-            )
-    _write_csv(path, ["n", "theta", "V", "P", "C"], rows)
-
-
-def write_profile_csv(rows: Sequence[tuple[int, float, float]], path: Path) -> None:
-    _write_csv(path, ["i", "d_qa_qi", "d_qa_qb"], rows)
-
-
-def write_delta_d_csv(rows: Sequence[tuple[int, float, float, float]], path: Path) -> None:
-    _write_csv(path, ["n", "V", "delta_d_total", "delta_d_pair"], rows)
-
-
-def write_table_csv(rows: Sequence[TableStateRow], path: Path) -> None:
-    _write_csv(
-        path,
-        [
-            "objective", "preset", "n",
-            "c00_re", "c00_im", "c01_re", "c01_im", "c10_re", "c10_im",
-            "achieved", "outcome_probability",
-        ],
-        [
-            (
-                r.objective, r.preset, r.n,
-                r.c00.real, r.c00.imag, r.c01.real, r.c01.imag,
-                r.c10.real, r.c10.imag,
-                r.achieved, r.outcome_probability,
-            )
-            for r in rows
-        ],
-    )
-
-
-def write_limit_csv(rows: Sequence[tuple[int, float]], path: Path) -> None:
-    _write_csv(path, ["N", "gap"], rows)
-
-
 def _file_stem(spec: ExperimentSpec) -> str:
     parts = []
     if spec.preset:
@@ -340,9 +349,21 @@ def _file_stem(spec: ExperimentSpec) -> str:
     return "-".join(parts) if parts else spec.name
 
 
+def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
+    """Manifest entries of ``fields``, keyed by field name (``cfg`` as ``coupling``)."""
+    record = {}
+    for name in fields:
+        value = getattr(spec, name)
+        if name == "cfg":
+            record["coupling"] = {"g": value.g, "T": value.T, "N_total": value.N_total}
+        else:
+            record[name] = value.value if isinstance(value, Objective) else value
+    return record
+
+
 def run_experiment(
     spec: ExperimentSpec,
-    out_dir: Path | str = "results",
+    out_dir: Path | str = DEFAULT_OUT,
 ) -> dict:
     """Execute one named study and persist CSV + manifest.
 
@@ -350,56 +371,23 @@ def run_experiment(
     ``<out_dir>/<experiment>/<preset>-<objective>.csv`` (components dropped
     when not applicable) with ``manifest.json`` alongside.
     """
-    if spec.name not in EXPERIMENTS:
-        raise DomainError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
+    experiment = EXPERIMENTS.get(spec.name)
+    if experiment is None:
+        raise DomainError(f"unknown experiment {spec.name!r}; choose from {tuple(EXPERIMENTS)}")
+    for name in ("cfg", "objective"):
+        if name in experiment.fields and getattr(spec, name) is None:
+            raise DomainError(f"experiment {spec.name!r} requires field {name!r}")
     directory = Path(out_dir) / spec.name
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{_file_stem(spec)}.csv"
 
-    needs_cfg = spec.name in ("quantity-vs-n", "uniform-sweep", "distinguishability", "delta-d")
-    if needs_cfg and spec.cfg is None:
-        raise DomainError(f"experiment {spec.name!r} requires a coupling configuration")
-    needs_objective = spec.name in ("quantity-vs-n", "delta-d")
-    if needs_objective and spec.objective is None:
-        raise DomainError(f"experiment {spec.name!r} requires an objective")
-
     started = time.perf_counter()
-    if spec.name == "quantity-vs-n":
-        write_curve_csv(
-            run_quantity_vs_n(spec.cfg, spec.objective, spec.n_max, spec.reservoir_k),
-            csv_path,
-        )
-    elif spec.name == "uniform-sweep":
-        write_sweep_csv(
-            run_uniform_sweep(spec.cfg, spec.n_max, spec.theta_steps, spec.phi), csv_path
-        )
-    elif spec.name == "distinguishability":
-        write_profile_csv(run_distinguishability_profile(spec.cfg), csv_path)
-    elif spec.name == "delta-d":
-        write_delta_d_csv(run_delta_d(spec.cfg, spec.objective, spec.n_max), csv_path)
-    elif spec.name == "table":
-        write_table_csv(run_table_states(), csv_path)
-    else:
-        write_limit_csv(
-            run_continuous_limit_convergence(spec.limit_k, spec.limit_T, spec.limit_N),
-            csv_path,
-        )
+    _write_csv(csv_path, experiment.header, experiment.rows(spec))
     wall = time.perf_counter() - started
 
     manifest = {
         "experiment": spec.name,
-        "preset": spec.preset,
-        "objective": spec.objective.value if spec.objective else None,
-        "coupling": (
-            {"g": spec.cfg.g, "T": spec.cfg.T, "N_total": spec.cfg.N_total}
-            if spec.cfg
-            else None
-        ),
-        "n_max": spec.n_max,
-        "theta_steps": spec.theta_steps,
-        "phi": spec.phi,
-        "reservoir_k": spec.reservoir_k,
-        "limit": {"k": spec.limit_k, "T": spec.limit_T, "N": list(spec.limit_N)},
+        **_recorded(spec, experiment.fields),
         "versions": {
             "complement_opt": __version__,
             "numpy": np.__version__,

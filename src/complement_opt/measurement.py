@@ -42,6 +42,8 @@ _TWO_PI = 2.0 * math.pi
 
 def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map angles into [0, pi) x [0, 2 pi); the projector is unchanged."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
     theta = math.fmod(theta, math.pi)
     if theta < 0.0:
         theta += math.pi

@@ -12,12 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from complement_opt import (
-    ExcitationState,
-    MeasurementBasis,
-    TwoQubitPure,
-    make_config,
-)
+from complement_opt import ExcitationState, TwoQubitPure
+# seeded random cases: the same draws as the verify command's
+from complement_opt.verify import _random_basis as random_basis, _random_case as random_coupling
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,22 +51,6 @@ def random_pure_pair(rng: np.random.Generator) -> TwoQubitPure:
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
     return TwoQubitPure(*amps)
-
-
-def random_coupling(rng: np.random.Generator, n_cap: int = 20):
-    """Random admissible coupling plus a collision count n <= n_cap."""
-    n_total = int(rng.integers(1, 25))
-    total_time = float(rng.uniform(0.5, 10.0))
-    dt = total_time / n_total
-    g = float(rng.uniform(0.0, 0.98 * math.pi / 2.0) / dt)
-    n = int(rng.integers(0, min(n_total, n_cap) + 1))
-    return make_config(g, total_time, n_total), n
-
-
-def random_basis(rng: np.random.Generator, n: int) -> MeasurementBasis:
-    return MeasurementBasis.from_angles(
-        zip(rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n))
-    )
 
 
 def package_env() -> dict:

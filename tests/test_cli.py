@@ -1,11 +1,15 @@
 import dataclasses
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from complement_opt import verify
-from complement_opt.cli import main
+from complement_opt import Objective, cli, verify
+from complement_opt.cli import FIELDS, main
+from complement_opt.experiments import EXPERIMENTS, PRESETS
 from helpers import package_env
 
 
@@ -134,8 +138,105 @@ class TestValidation:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("uniform-sweep", "phi", "nan"),
+        ("uniform-sweep", "phi", "inf"),
+        ("quantity-vs-n", "reservoir_k", "nan"),
+        ("quantity-vs-n", "reservoir_k", "-1"),
+        ("quantity-vs-n", "reservoir_k", "-10000"),
+        ("continuous-limit", "limit_k", "nan"),
+        ("continuous-limit", "limit_T", "nan"),
+    ])
+    def test_out_of_domain_scalar_field_exit_3(self, tmp_path, capsys, experiment, key, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"experiment = {experiment}\npreset = strong\nobjective = concurrence\n"
+            f"n_max = 2\n{key} = {value}\n"
+        )
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "numeric domain error" in err and "finite" in err
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_FIELD_TEXT = {
+    "n_max": st.integers(0, 10**6).map(str),
+    "out": st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True),
+    "theta_steps": st.integers(1, 10**6).map(str),
+    "phi": _finite.map(repr),
+    "reservoir_k": _finite.map(repr),
+    "limit_k": _finite.map(repr),
+    "limit_T": _finite.map(repr),
+    "limit_N": st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(
+        lambda Ns: ",".join(map(str, Ns))
+    ),
+}
+
+
+@st.composite
+def _run_fields(draw) -> dict:
+    """Text of a valid set of run fields; the optional ones may be left unset."""
+    fields = {
+        "experiment": draw(st.sampled_from(list(EXPERIMENTS))),
+        "objective": draw(st.sampled_from([o.value for o in Objective])),
+    }
+    if draw(st.booleans()):
+        fields["preset"] = draw(st.sampled_from(list(PRESETS)))
+    else:
+        N = draw(st.integers(1, 50))
+        T = draw(st.floats(0.5, 10.0))
+        fields.update(g=repr(draw(st.floats(0.0, 1.5)) * N / T), T=repr(T), N=str(N))
+    for key, text in _FIELD_TEXT.items():
+        if draw(st.booleans()):
+            fields[key] = draw(text)
+    return fields
+
+
+def _run_values(*argv):
+    return cli._run_values(cli.build_parser().parse_args(["run", *argv]))
+
+
+class TestFieldTable:
+    def test_every_field_is_a_flag_and_a_config_key(self, tmp_path, capsys):
+        assert len(FIELDS) == 14
+        with pytest.raises(SystemExit):
+            run_cli("run", "--help")
+        help_text = capsys.readouterr().out
+        assert all(f"{_flag(key)} " in help_text for key in FIELDS)
+        config = tmp_path / "all.cfg"
+        config.write_text("".join(f"{key} = 1\n" for key in FIELDS))
+        assert set(cli._parse_config_file(config)) == set(FIELDS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_run_fields())
+    def test_flags_and_config_file_build_the_same_spec(self, fields):
+        from_flags = _run_values(*(f"{_flag(key)}={text}" for key, text in fields.items()))
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "run.cfg"
+            config.write_text("".join(f"{key} = {text}\n" for key, text in fields.items()))
+            from_file = _run_values("--config", str(config))
+        assert from_flags == from_file
+        cli._validate(from_flags)
+        assert cli._spec(from_flags) == cli._spec(from_file)
+
 
 class TestVerifyCommand:
+    def test_unset_flags_keep_library_defaults(self, monkeypatch):
+        seen = []
+
+        def fake(**kwargs):
+            seen.append(kwargs)
+            return [verify.CheckResult("fake", True, "")]
+
+        monkeypatch.setattr(cli, "run_verification", fake)
+        assert run_cli("verify") == 0
+        assert run_cli("verify", "--samples", "3", "--seed", "4", "--perturb") == 0
+        assert seen == [{}, {"samples": 3, "seed": 4, "perturb": True}]
+
     def test_verify_passes(self, capsys):
         assert run_cli("verify", "--samples", "40", "--seed", "7") == 0
         out = capsys.readouterr().out

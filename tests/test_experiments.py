@@ -192,6 +192,22 @@ class TestRunExperiment:
         assert manifest["coupling"]["g"] == 4.0
         assert "wall_time_s" in manifest
 
+    @pytest.mark.parametrize("name, fields", [
+        ("quantity-vs-n", {"preset", "coupling", "objective", "n_max", "reservoir_k"}),
+        ("uniform-sweep", {"preset", "coupling", "n_max", "theta_steps", "phi"}),
+        ("distinguishability", {"preset", "coupling"}),
+        ("delta-d", {"preset", "coupling", "objective", "n_max"}),
+        ("table", set()),
+        ("continuous-limit", {"limit_k", "limit_T", "limit_N"}),
+    ])
+    def test_manifest_records_only_the_fields_read(self, tmp_path, strong, name, fields):
+        spec = ExperimentSpec(
+            name=name, cfg=strong, preset="strong", objective=Objective.VISIBILITY,
+            n_max=2, theta_steps=4,
+        )
+        manifest = json.loads(run_experiment(spec, out_dir=tmp_path)["manifest"].read_text())
+        assert set(manifest) == {"experiment", "versions", "wall_time_s", "outputs"} | fields
+
     def test_float_round_trip(self, tmp_path, strong):
         spec = ExperimentSpec(name="distinguishability", cfg=strong, preset="strong")
         paths = run_experiment(spec, out_dir=tmp_path)

@@ -35,6 +35,13 @@ class TestMeasurementBasis:
         assert theta == pytest.approx(math.pi - 0.1)
         assert phi == pytest.approx(7.0 - 2.0 * math.pi)
 
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_angles_rejected(self, strong, theta, phi):
+        with pytest.raises(DomainError, match="finite"):
+            gamma_coefficients(strong, MeasurementBasis.from_angles([(theta, phi)]), 1)
+        with pytest.raises(DomainError, match="finite"):
+            uniform_gamma(strong, theta, phi, 1)
+
     def test_basis_construction(self):
         basis = MeasurementBasis.from_angles([(3.5, -1.0), (0.2, 0.3)])
         assert len(basis) == 2
