@@ -176,10 +176,8 @@ def run_delta_d(
     """(n, optimized V, total information change, pair information change)."""
     rows = []
     for result in curve(cfg, objective, n_max):
-        v = min(result.achieved.V, 1.0)
-        rows.append(
-            (result.n, result.achieved.V, delta_d_total(v), delta_d_pair(cfg, result.n, v))
-        )
+        v = result.achieved.V
+        rows.append((result.n, v, delta_d_total(v), delta_d_pair(cfg, result.n, v)))
     return rows
 
 
@@ -377,6 +375,10 @@ def run_experiment(
     for name in ("cfg", "objective"):
         if name in experiment.fields and getattr(spec, name) is None:
             raise DomainError(f"experiment {spec.name!r} requires field {name!r}")
+    recorded = _recorded(spec, experiment.fields)
+    for name, value in recorded.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"field {name!r} must be finite, got {value!r}")
     directory = Path(out_dir) / spec.name
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{_file_stem(spec)}.csv"
@@ -387,7 +389,7 @@ def run_experiment(
 
     manifest = {
         "experiment": spec.name,
-        **_recorded(spec, experiment.fields),
+        **recorded,
         "versions": {
             "complement_opt": __version__,
             "numpy": np.__version__,
@@ -397,5 +399,5 @@ def run_experiment(
         "outputs": [csv_path.name],
     }
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return {"csv": csv_path, "manifest": manifest_path}

@@ -19,6 +19,12 @@ gamma1 is always evaluated in product form,
 sum_i a^(i-1) beta_i prod_{j != i} alpha_j, which stays finite when some
 alpha_i = 0 (theta_i = pi/2), where the ratio form beta_i / alpha_i would blow
 up even though the physics is regular.
+
+``postselected_amplitudes`` (the amplitudes) and ``_complementarity_from_moduli``
+(V, P, C from their squared moduli) are the one batched kernel: they take
+arrays along the last axis as well as single records, so the library and the
+grid reference in ``optimize`` share them.  A record whose outcome probability
+is below ``DEGENERATE_PROBABILITY`` counts as impossible everywhere.
 """
 from __future__ import annotations
 
@@ -34,8 +40,8 @@ from .errors import DegenerateOutcomeError, DomainError, RangeError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-#: post-selections with norm factor below this are rejected as impossible outcomes
-DEGENERATE_NORM = 1e-14
+#: post-selections with outcome probability below this are rejected as impossible
+DEGENERATE_PROBABILITY = 1e-28
 
 _TWO_PI = 2.0 * math.pi
 
@@ -102,26 +108,51 @@ class GammaTriple:
     outcome_probability: float
 
 
-def _make_gamma(g1: complex, g2: complex, g3: complex) -> GammaTriple:
-    norm_sq = abs(g1) ** 2 + abs(g2) ** 2 + abs(g3) ** 2
-    norm = math.sqrt(norm_sq)
-    if norm < DEGENERATE_NORM:
+def _check_possible(prob: float) -> None:
+    if prob < DEGENERATE_PROBABILITY:
         raise DegenerateOutcomeError(
-            f"post-selected outcome has norm {norm:.3g}; "
+            f"post-selected outcome has probability {prob:.3g}; "
             "the measurement record is (numerically) impossible"
         )
+
+
+def _make_gamma(g1: complex, g2: complex, g3: complex) -> GammaTriple:
+    norm_sq = abs(g1) ** 2 + abs(g2) ** 2 + abs(g3) ** 2
+    _check_possible(norm_sq)
+    # positional: a frozen dataclass takes keywords measurably slower per record
     return GammaTriple(
-        gamma1=complex(g1), gamma2=complex(g2), gamma3=complex(g3),
-        norm_factor=float(norm), outcome_probability=float(norm_sq),
+        complex(g1), complex(g2), complex(g3), math.sqrt(norm_sq), float(norm_sq)
     )
 
 
 def _exclusive_products(alpha: np.ndarray) -> np.ndarray:
-    """Along the last axis (size >= 1): product of all entries except the own one."""
+    """Along the last axis: product of all entries except the own one (for an
+    empty axis a single 1, which broadcasts away against empty operands)."""
     ones = np.ones(alpha.shape[:-1] + (1,), dtype=alpha.dtype)
     pre = np.concatenate([ones, np.cumprod(alpha[..., :-1], axis=-1)], axis=-1)
     suf = np.concatenate([np.cumprod(alpha[..., :0:-1], axis=-1)[..., ::-1], ones], axis=-1)
     return pre * suf
+
+
+def postselected_amplitudes(a: float, b: complex, alpha: np.ndarray, beta: np.ndarray):
+    """(gamma1, gamma2, gamma3) for probe coefficients alpha, beta along the last
+    axis (one entry per measured probe); leading axes are independent records."""
+    n = alpha.shape[-1]
+    g3 = _SQRT1_2 * np.prod(alpha, axis=-1)
+    g2 = a ** n * g3
+    g1 = b * _SQRT1_2 * np.sum(a ** np.arange(n) * beta * _exclusive_products(alpha), axis=-1)
+    return g1, g2, g3
+
+
+def _complementarity_from_moduli(m1, m2, m3):
+    """(V, P, C) of the pair from |gamma1|^2, |gamma2|^2, |gamma3|^2 (floats or
+    arrays; operators only, so a single record pays no ufunc dispatch)."""
+    total = m1 + m2 + m3
+    return (
+        2.0 * (m1 * m3) ** 0.5 / total,
+        abs(m3 - m1 - m2) / total,
+        2.0 * (m2 * m3) ** 0.5 / total,
+    )
 
 
 def gamma_coefficients(
@@ -133,17 +164,7 @@ def gamma_coefficients(
         raise RangeError(
             f"basis supplies {len(basis)} angle pairs but n={n} probes are measured"
         )
-    alpha = basis.alphas
-    beta = basis.betas
-    prod_alpha = float(np.prod(alpha)) if n else 1.0
-    g3 = _SQRT1_2 * prod_alpha
-    g2 = cfg.a ** n * g3
-    if n:
-        weights = cfg.a ** np.arange(n)
-        g1 = cfg.b * _SQRT1_2 * np.sum(weights * beta * _exclusive_products(alpha))
-    else:
-        g1 = 0.0
-    return _make_gamma(g1, g2, g3)
+    return _make_gamma(*postselected_amplitudes(cfg.a, cfg.b, basis.alphas, basis.betas))
 
 
 def project_oracle(
@@ -167,11 +188,7 @@ def project_oracle(
     c01 = state.amp_b * prod_alpha
     c10 = state.amp_a * prod_alpha
     prob = abs(c00) ** 2 + abs(c01) ** 2 + abs(c10) ** 2
-    if prob < DEGENERATE_NORM ** 2:
-        raise DegenerateOutcomeError(
-            f"post-selected outcome has probability {prob:.3g}; "
-            "the measurement record is (numerically) impossible"
-        )
+    _check_possible(prob)
     norm = math.sqrt(prob)
     return TwoQubitPure(c00 / norm, c01 / norm, c10 / norm, 0.0), prob
 
@@ -202,16 +219,10 @@ def uniform_gamma(
 
 def complementarity_after(gt: GammaTriple) -> ComplementarityTriple:
     """Visibility, predictability and concurrence of the post-selected pair."""
-    m1 = abs(gt.gamma1) ** 2
-    m2 = abs(gt.gamma2) ** 2
-    m3 = abs(gt.gamma3) ** 2
-    total = m1 + m2 + m3
-    v = 2.0 * math.sqrt(m1 * m3) / total
-    p = abs(m3 - m1 - m2) / total
-    c = 2.0 * math.sqrt(m2 * m3) / total
-    return ComplementarityTriple(
-        V=v, P=p, C=c, closure_residual=v * v + p * p + c * c - 1.0
+    v, p, c = _complementarity_from_moduli(
+        abs(gt.gamma1) ** 2, abs(gt.gamma2) ** 2, abs(gt.gamma3) ** 2
     )
+    return ComplementarityTriple(v, p, c, v * v + p * p + c * c - 1.0)
 
 
 def postselected_state(gt: GammaTriple) -> TwoQubitPure:

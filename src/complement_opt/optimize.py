@@ -14,9 +14,16 @@ later probe at theta = 0 gives x = |b|^2 tan^2(theta_1), which spans [0, inf):
 Without coupling (b = 0) no basis changes the pair and theta_1 = 0 is used.
 The reported triple and outcome probability always come from
 ``gamma_coefficients`` and ``complementarity_after``.  Below g*dt of about
-1e-14 the V* and P* records fall under ``DEGENERATE_NORM`` and ``maximize``
-raises ``DegenerateOutcomeError``.  ``grid_reference_maximum`` is the
-independent exhaustive reference that checks the closed form on small n.
+1e-14 the V* and P* records fall under ``DEGENERATE_PROBABILITY`` and
+``maximize`` raises ``DegenerateOutcomeError``.
+
+``grid_reference_maximum`` is the independent exhaustive reference that checks
+the closed form on small n.  Its angle grid runs through the same batched
+kernel as the library (``measurement.postselected_amplitudes`` and the
+moduli-to-V/P/C formula), but only to pick the leading grid points; the value
+it returns is recomputed at its returned angles through ``oracle_evolve``,
+``project_oracle`` and ``complementarity.triple``, so an error in the shared
+kernel cannot reach it.
 """
 from __future__ import annotations
 
@@ -30,13 +37,12 @@ from .collisions import CouplingConfig, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
 from .errors import DegenerateOutcomeError, DomainError
 from .measurement import (
-    MeasurementBasis, _exclusive_products, complementarity_after, gamma_coefficients,
+    DEGENERATE_PROBABILITY, MeasurementBasis, _complementarity_from_moduli,
+    complementarity_after, gamma_coefficients, postselected_amplitudes, project_oracle,
 )
 
 #: candidate optima whose values lie within this of the best are ties
 TIE_TOLERANCE = 1e-9
-#: squared-norm threshold below which a grid point counts as impossible
-_DEGENERATE_TOTAL = 1e-28
 
 
 class Objective(Enum):
@@ -91,91 +97,29 @@ def curve(cfg: CouplingConfig, objective: Objective, n_max: int) -> list[Optimiz
     return [maximize(cfg, n, objective) for n in range(1, n_max + 1)]
 
 
-def _moduli_sq(a, b, n, theta, phi):
-    """Squared moduli (m1, m2, m3) of the post-selected amplitudes, batched.
-
-    theta/phi have shape (..., n); the common 1/sqrt(2) factor is dropped
-    since every objective is scale-invariant.
-    """
-    alpha = np.cos(theta)
-    beta = np.exp(1j * phi) * np.sin(theta)
-    weights = a ** np.arange(n)
-    prod_alpha = np.prod(alpha, axis=-1)
-    g1 = b * np.sum(weights * beta * _exclusive_products(alpha), axis=-1)
-    g3 = prod_alpha
-    g2 = a ** n * prod_alpha
-    return np.abs(g1) ** 2, g2 * g2, g3 * g3
-
-
-def _value_from_moduli(kind: Objective, m1, m2, m3):
-    total = m1 + m2 + m3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is Objective.VISIBILITY:
-            val = 2.0 * np.sqrt(m1 * m3) / total
-        elif kind is Objective.PREDICTABILITY:
-            val = np.abs(m3 - m1 - m2) / total
-        else:
-            val = 2.0 * np.sqrt(m2 * m3) / total
-    return np.where(total < _DEGENERATE_TOTAL, -np.inf, val)
-
-
+#: grid spacing in degrees of theta and phi, by n
 _REFERENCE_STEPS_DEG = {1: 1.0, 2: 6.0}
+#: leading grid points polished by Nelder-Mead
+_POLISHED = 8
+#: grid points evaluated per batch: small enough to bound peak memory, large
+#: enough to hold the whole n = 1 grid (180 x 360 points)
+_BATCH = 2 ** 16
 
 
-def grid_reference_maximum(
-    cfg: CouplingConfig,
-    n: int,
-    objective: Objective,
-    theta_step_deg: float | None = None,
-    refine: bool = True,
-    top_k: int = 8,
-    chunk: int = 250_000,
-):
+def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
     """Exhaustive reference optimum for small n: dense angle grid plus
     Nelder-Mead polish of the leading grid points.
 
-    The polish evaluates the objective through the sequential-collision state
-    and the direct projection route, independently of the closed form in
-    ``maximize``.  Supports n <= 2 (the 2n-dimensional grid grows too fast
-    beyond that).  Returns (value, angles).
+    The grid ranks bases with the shared post-selection kernel; the returned
+    value is recomputed at the returned angles through the sequential-collision
+    state, the direct projection route and the pure-state formulas, so it is
+    independent of both the kernel and the closed form in ``maximize``.
+    Supports n <= 2 (the 2n-dimensional grid grows too fast beyond that).
+    Returns (value, angles).
     """
     cfg.check_n(n)
-    if n == 0:
-        gt = gamma_coefficients(cfg, MeasurementBasis.empty(), 0)
-        return objective_value(complementarity_after(gt), objective), ()
-    if n not in _REFERENCE_STEPS_DEG and theta_step_deg is None:
+    if n and n not in _REFERENCE_STEPS_DEG:
         raise DomainError(f"grid reference supports n <= 2, got n={n}")
-    step = math.radians(theta_step_deg or _REFERENCE_STEPS_DEG[n])
-    tg = np.arange(0.0, math.pi - 1e-12, step)
-    pg = np.arange(0.0, 2.0 * math.pi - 1e-12, step)
-    k_pair = tg.size * pg.size
-    total = k_pair ** n
-
-    leaders: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        theta = np.empty((idx.size, n))
-        phi = np.empty((idx.size, n))
-        rem = idx
-        for col in range(n - 1, -1, -1):
-            pair_idx = rem % k_pair
-            rem = rem // k_pair
-            theta[:, col] = tg[pair_idx // pg.size]
-            phi[:, col] = pg[pair_idx % pg.size]
-        vals = _value_from_moduli(objective, *_moduli_sq(cfg.a, cfg.b, n, theta, phi))
-        take = min(top_k, vals.size)
-        part = np.argpartition(vals, -take)[-take:]
-        leaders.extend((float(vals[j]), theta[j].copy(), phi[j].copy()) for j in part)
-        leaders.sort(key=lambda c: -c[0])
-        leaders = leaders[:top_k]
-
-    best_v, best_theta, best_phi = leaders[0]
-    if not refine:
-        return best_v, tuple(zip(best_theta, best_phi))
-
-    from scipy.optimize import minimize
-    from .measurement import project_oracle
-
     state = oracle_evolve(cfg, n)
 
     def negated(x: np.ndarray) -> float:
@@ -186,14 +130,46 @@ def grid_reference_maximum(
             return 1e6
         return -objective_value(pure_triple(pure), objective)
 
-    for v0, t0, p0 in leaders:
-        res = minimize(
-            negated,
-            np.concatenate([t0, p0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000},
-        )
-        if -res.fun > best_v:
-            best_v = -res.fun
-            best_theta, best_phi = res.x[:n], res.x[n:]
-    return best_v, tuple(zip(best_theta, best_phi))
+    if n == 0:
+        return -negated(np.empty(0)), ()
+    step = math.radians(_REFERENCE_STEPS_DEG[n])
+    tg = np.arange(0.0, math.pi - 1e-12, step)
+    pg = np.arange(0.0, 2.0 * math.pi - 1e-12, step)
+    # one probe's (alpha, beta) for each (theta, phi) pair, theta-major
+    pair_alpha = np.repeat(np.cos(tg), pg.size)
+    pair_beta = (np.sin(tg)[:, None] * np.exp(1j * pg)).ravel()
+    k_pair = pair_alpha.size
+    total = k_pair ** n
+
+    leaders: list[tuple[float, np.ndarray]] = []
+    for start in range(0, total, _BATCH):
+        idx = np.arange(start, min(start + _BATCH, total))
+        # column j holds the pair index of probe j + 1
+        pairs = np.stack([idx // k_pair ** (n - 1 - j) % k_pair for j in range(n)], axis=-1)
+        amplitudes = postselected_amplitudes(cfg.a, cfg.b, pair_alpha[pairs], pair_beta[pairs])
+        m1, m2, m3 = (np.abs(g) ** 2 for g in amplitudes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v, p, c = _complementarity_from_moduli(m1, m2, m3)
+        vals = objective_value(ComplementarityTriple(v, p, c, math.nan), objective)
+        vals = np.where(m1 + m2 + m3 < DEGENERATE_PROBABILITY, -np.inf, vals)
+        part = np.argpartition(vals, -_POLISHED)[-_POLISHED:]
+        leaders.extend((float(vals[j]), pairs[j].copy()) for j in part)
+        leaders.sort(key=lambda c: -c[0])
+        leaders = leaders[:_POLISHED]
+
+    from scipy.optimize import minimize
+
+    # Nelder-Mead keeps its best vertex, so no polish ends below its grid start
+    best = min(
+        (
+            minimize(
+                negated,
+                np.concatenate([tg[pair_idx // pg.size], pg[pair_idx % pg.size]]),
+                method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000},
+            )
+            for _, pair_idx in leaders
+        ),
+        key=lambda res: res.fun,
+    )
+    return -best.fun, tuple(zip(best.x[:n], best.x[n:]))

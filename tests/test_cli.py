@@ -138,24 +138,35 @@ class TestValidation:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment, key, value", [
-        ("uniform-sweep", "phi", "nan"),
-        ("uniform-sweep", "phi", "inf"),
-        ("quantity-vs-n", "reservoir_k", "nan"),
-        ("quantity-vs-n", "reservoir_k", "-1"),
-        ("quantity-vs-n", "reservoir_k", "-10000"),
-        ("continuous-limit", "limit_k", "nan"),
-        ("continuous-limit", "limit_T", "nan"),
+    @pytest.mark.parametrize("experiment, key, value, n_max", [
+        pytest.param(e, k, v, n, id=f"{e}-{k}-{v}" + ("-n_max_0" if n == 0 else ""))
+        for e, k, v, n in [
+            ("uniform-sweep", "phi", "nan", 2),
+            ("uniform-sweep", "phi", "inf", 2),
+            ("quantity-vs-n", "reservoir_k", "nan", 2),
+            ("quantity-vs-n", "reservoir_k", "-1", 2),
+            ("quantity-vs-n", "reservoir_k", "-10000", 2),
+            ("continuous-limit", "limit_k", "nan", 2),
+            ("continuous-limit", "limit_T", "nan", 2),
+            # no rows to compute: the recorded field itself must be rejected
+            ("uniform-sweep", "phi", "nan", 0),
+            ("uniform-sweep", "phi", "inf", 0),
+            ("quantity-vs-n", "reservoir_k", "nan", 0),
+            ("quantity-vs-n", "reservoir_k", "inf", 0),
+        ]
     ])
-    def test_out_of_domain_scalar_field_exit_3(self, tmp_path, capsys, experiment, key, value):
+    def test_out_of_domain_scalar_field_exit_3(
+        self, tmp_path, capsys, experiment, key, value, n_max
+    ):
         config = tmp_path / "run.cfg"
         config.write_text(
             f"experiment = {experiment}\npreset = strong\nobjective = concurrence\n"
-            f"n_max = 2\n{key} = {value}\n"
+            f"n_max = {n_max}\n{key} = {value}\n"
         )
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == 3
         err = capsys.readouterr().err
         assert "numeric domain error" in err and "finite" in err
+        assert not (tmp_path / experiment / "manifest.json").exists()
 
 
 def _flag(key):

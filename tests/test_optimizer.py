@@ -204,6 +204,27 @@ class TestGridReference:
             value, _ = grid_reference_maximum(cfg, 1, Objective.VISIBILITY)
             assert value == pytest.approx(analytic_visibility_max(cfg, 1), abs=1e-6)
 
+    def test_value_independent_of_shared_kernel(self, strong, monkeypatch):
+        # a V/P/C formula inflated by 0.5 must not reach the reference's value
+        from complement_opt import measurement, optimize
+
+        shared = measurement._complementarity_from_moduli
+        calls = []
+
+        def inflated(m1, m2, m3):
+            calls.append(1)
+            v, p, c = shared(m1, m2, m3)
+            return v + 0.5, p, c
+
+        for module in (measurement, optimize):
+            monkeypatch.setattr(module, "_complementarity_from_moduli", inflated)
+        basis = MeasurementBasis.from_angles([(0.4, 0.0)])
+        assert complementarity_after(gamma_coefficients(strong, basis, 1)).V > 1.0
+        calls.clear()
+        value, _ = grid_reference_maximum(strong, 1, Objective.VISIBILITY)
+        assert calls, "the grid no longer ranks through the shared kernel"
+        assert value == pytest.approx(analytic_visibility_max(strong, 1), abs=1e-6)
+
     def test_rejects_large_n_without_step(self, strong):
         with pytest.raises(DomainError):
             grid_reference_maximum(strong, 3, Objective.CONCURRENCE)
