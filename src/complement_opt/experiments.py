@@ -97,6 +97,8 @@ def run_quantity_vs_n(
     rate ``reservoir_k`` (defaults to the coupling's own k = g^2 T / N).
     """
     k = cfg.k if reservoir_k is None else reservoir_k
+    if not 0.0 <= k < math.inf:
+        raise DomainError(f"reservoir_k must be finite and >= 0, got {k!r}")
     records = []
     for result in curve(cfg, objective, n_max):
         t = result.achieved

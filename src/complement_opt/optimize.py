@@ -18,12 +18,15 @@ The reported triple and outcome probability always come from
 ``maximize`` raises ``DegenerateOutcomeError``.
 
 ``grid_reference_maximum`` is the independent exhaustive reference that checks
-the closed form on small n.  Its angle grid runs through the same batched
-kernel as the library (``measurement.postselected_amplitudes`` and the
-moduli-to-V/P/C formula), but only to pick the leading grid points; the value
-it returns is recomputed at its returned angles through ``oracle_evolve``,
-``project_oracle`` and ``complementarity.triple``, so an error in the shared
-kernel cannot reach it.
+the closed form on small n.  A phase shared by all probes changes no |gamma|,
+so it fixes phi_1 = 0 and searches the 2n - 1 free angles: a grid of 180
+points at n = 1 (1 degree steps) and 30 x 30 x 60 = 54,000 at n = 2 (6 degree
+steps), then a Nelder-Mead polish of the leading points over those same
+angles.  The grid runs through the same batched kernel as the library
+(``measurement.postselected_amplitudes`` and the moduli-to-V/P/C formula), but
+only to pick the leading grid points; the value it returns is recomputed at
+its returned angles through ``oracle_evolve``, ``project_oracle`` and
+``complementarity.triple``, so an error in the shared kernel cannot reach it.
 """
 from __future__ import annotations
 
@@ -101,31 +104,32 @@ def curve(cfg: CouplingConfig, objective: Objective, n_max: int) -> list[Optimiz
 _REFERENCE_STEPS_DEG = {1: 1.0, 2: 6.0}
 #: leading grid points polished by Nelder-Mead
 _POLISHED = 8
-#: grid points evaluated per batch: small enough to bound peak memory, large
-#: enough to hold the whole n = 1 grid (180 x 360 points)
-_BATCH = 2 ** 16
 
 
 def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
     """Exhaustive reference optimum for small n: dense angle grid plus
     Nelder-Mead polish of the leading grid points.
 
-    The grid ranks bases with the shared post-selection kernel; the returned
-    value is recomputed at the returned angles through the sequential-collision
-    state, the direct projection route and the pure-state formulas, so it is
-    independent of both the kernel and the closed form in ``maximize``.
-    Supports n <= 2 (the 2n-dimensional grid grows too fast beyond that).
-    Returns (value, angles).
+    A phase common to all probes changes no |gamma|, so phi_1 is fixed at 0:
+    the grid and the polish run over the 2n - 1 free angles theta_1..theta_n,
+    phi_2..phi_n (180 points at n = 1, 54,000 at n = 2).  The grid ranks bases
+    with the shared post-selection kernel; the returned value is recomputed at
+    the returned angles through the sequential-collision state, the direct
+    projection route and the pure-state formulas, so it is independent of both
+    the kernel and the closed form in ``maximize``.  Supports n <= 2.
+    Returns (value, angles) with angles as n (theta, phi) pairs.
     """
     cfg.check_n(n)
     if n and n not in _REFERENCE_STEPS_DEG:
         raise DomainError(f"grid reference supports n <= 2, got n={n}")
     state = oracle_evolve(cfg, n)
 
-    def negated(x: np.ndarray) -> float:
-        basis = MeasurementBasis.from_angles(zip(x[:n], x[n:]))
+    def pairs(free: np.ndarray) -> list:
+        return list(zip(free[:n], (0.0, *free[n:])))
+
+    def negated(free: np.ndarray) -> float:
         try:
-            pure, _ = project_oracle(state, basis)
+            pure, _ = project_oracle(state, MeasurementBasis.from_angles(pairs(free)))
         except DegenerateOutcomeError:
             return 1e6
         return -objective_value(pure_triple(pure), objective)
@@ -133,29 +137,19 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
     if n == 0:
         return -negated(np.empty(0)), ()
     step = math.radians(_REFERENCE_STEPS_DEG[n])
-    tg = np.arange(0.0, math.pi - 1e-12, step)
-    pg = np.arange(0.0, 2.0 * math.pi - 1e-12, step)
-    # one probe's (alpha, beta) for each (theta, phi) pair, theta-major
-    pair_alpha = np.repeat(np.cos(tg), pg.size)
-    pair_beta = (np.sin(tg)[:, None] * np.exp(1j * pg)).ravel()
-    k_pair = pair_alpha.size
-    total = k_pair ** n
-
-    leaders: list[tuple[float, np.ndarray]] = []
-    for start in range(0, total, _BATCH):
-        idx = np.arange(start, min(start + _BATCH, total))
-        # column j holds the pair index of probe j + 1
-        pairs = np.stack([idx // k_pair ** (n - 1 - j) % k_pair for j in range(n)], axis=-1)
-        amplitudes = postselected_amplitudes(cfg.a, cfg.b, pair_alpha[pairs], pair_beta[pairs])
-        m1, m2, m3 = (np.abs(g) ** 2 for g in amplitudes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v, p, c = _complementarity_from_moduli(m1, m2, m3)
-        vals = objective_value(ComplementarityTriple(v, p, c, math.nan), objective)
-        vals = np.where(m1 + m2 + m3 < DEGENERATE_PROBABILITY, -np.inf, vals)
-        part = np.argpartition(vals, -_POLISHED)[-_POLISHED:]
-        leaders.extend((float(vals[j]), pairs[j].copy()) for j in part)
-        leaders.sort(key=lambda c: -c[0])
-        leaders = leaders[:_POLISHED]
+    axes = [np.arange(0.0, math.pi - 1e-12, step)] * n
+    axes += [np.arange(0.0, 2.0 * math.pi - 1e-12, step)] * (n - 1)
+    # one row of free angles per grid point
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * n - 1)
+    phases = np.concatenate([np.zeros((grid.shape[0], 1)), grid[:, n:]], axis=1)
+    amplitudes = postselected_amplitudes(
+        cfg.a, cfg.b, np.cos(grid[:, :n]), np.sin(grid[:, :n]) * np.exp(1j * phases)
+    )
+    m1, m2, m3 = (np.abs(g) ** 2 for g in amplitudes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v, p, c = _complementarity_from_moduli(m1, m2, m3)
+    vals = objective_value(ComplementarityTriple(v, p, c, math.nan), objective)
+    vals = np.where(m1 + m2 + m3 < DEGENERATE_PROBABILITY, -np.inf, vals)
 
     from scipy.optimize import minimize
 
@@ -164,12 +158,12 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
         (
             minimize(
                 negated,
-                np.concatenate([tg[pair_idx // pg.size], pg[pair_idx % pg.size]]),
+                grid[j],
                 method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000},
             )
-            for _, pair_idx in leaders
+            for j in np.argpartition(vals, -_POLISHED)[-_POLISHED:]
         ),
         key=lambda res: res.fun,
     )
-    return -best.fun, tuple(zip(best.x[:n], best.x[n:]))
+    return -best.fun, tuple(pairs(best.x))

@@ -153,6 +153,7 @@ class TestValidation:
             ("uniform-sweep", "phi", "inf", 0),
             ("quantity-vs-n", "reservoir_k", "nan", 0),
             ("quantity-vs-n", "reservoir_k", "inf", 0),
+            ("quantity-vs-n", "reservoir_k", "-1", 0),
         ]
     ])
     def test_out_of_domain_scalar_field_exit_3(
@@ -166,7 +167,8 @@ class TestValidation:
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == 3
         err = capsys.readouterr().err
         assert "numeric domain error" in err and "finite" in err
-        assert not (tmp_path / experiment / "manifest.json").exists()
+        # neither a CSV nor a manifest
+        assert not list((tmp_path / experiment).glob("*"))
 
 
 def _flag(key):

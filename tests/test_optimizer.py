@@ -15,9 +15,12 @@ from complement_opt import (
     make_config,
     maximize,
     objective_value,
+    oracle_evolve,
     postselected_state,
+    project_oracle,
+    triple,
 )
-from helpers import random_basis
+from helpers import random_basis, random_coupling
 
 
 def analytic_concurrence_max(cfg, n):
@@ -193,7 +196,40 @@ class TestCurves:
             assert abs(r.achieved.closure_residual) <= 1e-10
 
 
+def oracle_objective(cfg, n, angles, objective):
+    """Objective of a basis through the sequential-collision state, direct
+    projection and the pure-state formulas, bypassing the shared kernel."""
+    pure, _ = project_oracle(oracle_evolve(cfg, n), MeasurementBasis.from_angles(angles))
+    return objective_value(triple(pure), objective)
+
+
 class TestGridReference:
+    def test_common_phase_shift_changes_nothing(self):
+        # the symmetry that lets the reference fix phi_1 = 0
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            cfg, n = random_coupling(rng, n_cap=4)
+            angles = random_basis(rng, n).angles
+            delta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+            shifted = [(theta, phi + delta) for theta, phi in angles]
+            try:
+                before = [oracle_objective(cfg, n, angles, o) for o in Objective]
+            except DegenerateOutcomeError:
+                continue
+            after = [oracle_objective(cfg, n, shifted, o) for o in Objective]
+            assert after == pytest.approx(before, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_output_contract(self, strong, weak, n):
+        for cfg in (strong, weak):
+            for objective in Objective:
+                value, angles = grid_reference_maximum(cfg, n, objective)
+                assert len(angles) == n
+                assert angles[0][1] == 0.0
+                assert oracle_objective(cfg, n, angles, objective) == value
+                best = objective_value(maximize(cfg, n, objective).achieved, objective)
+                assert value == pytest.approx(best, abs=1e-9)
+
     def test_trivial_n0(self, strong):
         value, angles = grid_reference_maximum(strong, 0, Objective.CONCURRENCE)
         assert value == pytest.approx(1.0, abs=1e-14)
