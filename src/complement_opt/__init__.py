@@ -28,6 +28,7 @@ from .complementarity import (
     visibility,
 )
 from .errors import (
+    ConfigError,
     DegenerateOutcomeError,
     DomainError,
     NormalizationError,
@@ -89,6 +90,7 @@ __all__ = [
     "curve",
     "grid_reference_maximum",
     "objective_value",
+    "ConfigError",
     "DomainError",
     "RangeError",
     "NormalizationError",

@@ -2,10 +2,10 @@
 
 Thin dispatch layer: ``FIELDS`` defines every ``run`` field once, and both the
 flags and the keys of a flat key=value config file are generated from it.
-The parsed values are validated against the experiment registry and become an
-:class:`ExperimentSpec`; error classes map to exit codes (2 for configuration
-problems, 3 for numeric domain errors raised by the physics layer).  No
-numerics live here.
+The CLI only turns text into objects (an :class:`ExperimentSpec`, or the
+arguments of ``run_verification``); the library checks every value.  ``main``
+maps the library's error types to exit codes, once for both subcommands: 2 for
+:class:`ConfigError`, 3 for the numeric domain errors.  No numerics live here.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    ConfigError,
     DegenerateOutcomeError,
     DomainError,
     NormalizationError,
@@ -31,10 +32,6 @@ from .experiments import (
 from .collisions import make_config
 from .optimize import Objective
 from .verify import run_verification
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (unknown key, bad value, missing field)."""
 
 
 _OBJECTIVES = {o.value: o for o in Objective}
@@ -95,70 +92,31 @@ def _run_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _validate(values: dict) -> None:
-    name = values.get("experiment")
-    if not name:
-        raise ConfigError("field 'experiment' is required")
-    if name not in EXPERIMENTS:
-        raise ConfigError(
-            f"field 'experiment': unknown experiment {name!r}; "
-            f"choose from {', '.join(EXPERIMENTS)}"
-        )
-    preset = values.get("preset")
-    if preset is not None and preset not in PRESETS:
-        raise ConfigError(
-            f"field 'preset': unknown preset {preset!r}; choose from {sorted(PRESETS)}"
-        )
-    explicit = [key in values for key in ("g", "T", "N")]
-    if any(explicit) and not all(explicit):
-        raise ConfigError("fields 'g', 'T', 'N' must be given together")
-    reads = EXPERIMENTS[name].fields
-    if "cfg" in reads and preset is None and not all(explicit):
-        raise ConfigError(
-            f"experiment {name!r} needs field 'preset' or explicit 'g', 'T', 'N'"
-        )
-    objective = values.get("objective")
-    if objective is not None and objective not in _OBJECTIVES:
-        raise ConfigError(
-            f"field 'objective': unknown objective {objective!r}; "
-            f"choose from {sorted(_OBJECTIVES)}"
-        )
-    if "objective" in reads and objective is None:
-        raise ConfigError(f"experiment {name!r} needs field 'objective'")
-    if values.get("n_max", 0) < 0:
-        raise ConfigError(f"field 'n_max' must be >= 0, got {values['n_max']}")
-    if values.get("theta_steps", 1) < 1:
-        raise ConfigError(f"field 'theta_steps' must be >= 1, got {values['theta_steps']}")
-    if values.get("limit_N") == ():
-        raise ConfigError("field 'limit_N' must list at least one N")
-
-
 def _spec(values: dict) -> ExperimentSpec:
-    """The ExperimentSpec of validated run fields (``out`` is not part of it)."""
+    """The ExperimentSpec of the run fields (``out`` is not part of it); the
+    library checks the values when the spec runs."""
     fields = {key: value for key, value in values.items() if key != "out"}
-    g, T, N = (fields.pop(key, None) for key in ("g", "T", "N"))
+    coupling = [fields.pop(key, None) for key in ("g", "T", "N")]
+    if None in coupling and coupling != [None, None, None]:
+        raise ConfigError("fields 'g', 'T', 'N' must be given together")
     if fields.get("preset") is not None:
         fields["cfg"] = preset_config(fields["preset"])
-    elif g is not None:
-        fields["cfg"] = make_config(g, T, N)
+    elif None not in coupling:
+        fields["cfg"] = make_config(*coupling)
         fields["preset"] = "custom"
     if "objective" in fields:
+        if fields["objective"] not in _OBJECTIVES:
+            raise ConfigError(
+                f"field 'objective': unknown objective {fields['objective']!r}; "
+                f"choose from {sorted(_OBJECTIVES)}"
+            )
         fields["objective"] = _OBJECTIVES[fields["objective"]]
-    return ExperimentSpec(name=fields.pop("experiment"), **fields)
+    return ExperimentSpec(name=fields.pop("experiment", ""), **fields)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        values = _run_values(args)
-        _validate(values)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        paths = run_experiment(_spec(values), out_dir=values.get("out", DEFAULT_OUT))
-    except (DomainError, RangeError, NormalizationError, DegenerateOutcomeError) as exc:
-        print(f"numeric domain error: {exc}", file=sys.stderr)
-        return 3
+    values = _run_values(args)
+    paths = run_experiment(_spec(values), out_dir=values.get("out", DEFAULT_OUT))
     print(f"wrote {paths['csv']}")
     print(f"wrote {paths['manifest']}")
     return 0
@@ -211,7 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, RangeError, NormalizationError, DegenerateOutcomeError) as exc:
+        print(f"numeric domain error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

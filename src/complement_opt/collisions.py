@@ -171,10 +171,10 @@ def continuous_limit_gap(k: float, T: float, N: int) -> float:
     """
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
-    if not (math.isfinite(k) and math.isfinite(T)):
-        raise DomainError(f"k and T must be finite, got k={k}, T={T}")
+    if not (0.0 <= k < math.inf and 0.0 <= T < math.inf):
+        raise DomainError(f"k and T must be finite and >= 0, got k={k}, T={T}")
     x = k * T / N
-    if x < 0 or math.sqrt(x) >= math.pi / 2:
+    if math.sqrt(x) >= math.pi / 2:
         raise DomainError(
             f"kT/N = {x:.6g} must lie in [0, (pi/2)^2) for the cosine argument"
         )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .collisions import CouplingConfig, make_config, reservoir_limit_concurrence, continuous_limit_gap
-from .errors import DegenerateOutcomeError, DomainError
+from .errors import ConfigError, DegenerateOutcomeError, DomainError
 from .measurement import (
     complementarity_after,
     delta_d_pair,
@@ -44,7 +44,7 @@ DEFAULT_OUT = "results"
 
 def preset_config(name: str) -> CouplingConfig:
     if name not in PRESETS:
-        raise DomainError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return make_config(**PRESETS[name])
 
 
@@ -54,8 +54,9 @@ class ExperimentSpec:
 
     ``preset`` is a label used for file naming and the manifest; ``cfg`` is
     the coupling actually used.  Each experiment reads only the fields its
-    ``EXPERIMENTS`` entry lists and ignores the rest.  These defaults are the
-    only ones: the CLI leaves a field it was not given unset.
+    ``EXPERIMENTS`` entry lists and ignores the rest, but ``run_experiment``
+    checks every field.  These defaults are the only ones: the CLI leaves a
+    field it was not given unset.
     """
 
     name: str
@@ -97,8 +98,6 @@ def run_quantity_vs_n(
     rate ``reservoir_k`` (defaults to the coupling's own k = g^2 T / N).
     """
     k = cfg.k if reservoir_k is None else reservoir_k
-    if not 0.0 <= k < math.inf:
-        raise DomainError(f"reservoir_k must be finite and >= 0, got {k!r}")
     records = []
     for result in curve(cfg, objective, n_max):
         t = result.achieved
@@ -334,9 +333,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the CSV, creating its directory only once every row is computed."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -361,28 +362,49 @@ def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
     return record
 
 
+def _checked(spec: ExperimentSpec) -> Experiment:
+    """The registry entry of ``spec`` once every field of ``spec`` is in range,
+    whether or not its study reads the field."""
+    experiment = EXPERIMENTS.get(spec.name)
+    if experiment is None:
+        raise ConfigError(
+            f"unknown experiment {spec.name!r}; choose from {', '.join(EXPERIMENTS)}"
+        )
+    for name in ("cfg", "objective"):
+        if name in experiment.fields and getattr(spec, name) is None:
+            hint = " (a preset or explicit g, T, N)" if name == "cfg" else ""
+            raise ConfigError(f"experiment {spec.name!r} needs field {name!r}{hint}")
+    if spec.n_max < 0:
+        raise ConfigError(f"field 'n_max' must be >= 0, got {spec.n_max}")
+    if spec.theta_steps < 1:
+        raise ConfigError(f"field 'theta_steps' must be >= 1, got {spec.theta_steps}")
+    if not spec.limit_N:
+        raise ConfigError("field 'limit_N' must list at least one N")
+    if not math.isfinite(spec.phi):
+        raise DomainError(f"field 'phi' must be finite, got {spec.phi!r}")
+    for name in ("reservoir_k", "limit_k", "limit_T"):
+        value = getattr(spec, name)
+        if value is not None and not 0.0 <= value < math.inf:
+            raise DomainError(f"field {name!r} must be finite and >= 0, got {value!r}")
+    return experiment
+
+
 def run_experiment(
     spec: ExperimentSpec,
     out_dir: Path | str = DEFAULT_OUT,
 ) -> dict:
     """Execute one named study and persist CSV + manifest.
 
-    Returns {"csv": Path, "manifest": Path}.  Layout is
+    Every field is checked before anything is computed or written: a bad one
+    raises :class:`ConfigError` (unknown experiment, missing field, count out
+    of range) or :class:`DomainError` (a non-finite float, a negative rate or
+    time).  Returns {"csv": Path, "manifest": Path}.  Layout is
     ``<out_dir>/<experiment>/<preset>-<objective>.csv`` (components dropped
     when not applicable) with ``manifest.json`` alongside.
     """
-    experiment = EXPERIMENTS.get(spec.name)
-    if experiment is None:
-        raise DomainError(f"unknown experiment {spec.name!r}; choose from {tuple(EXPERIMENTS)}")
-    for name in ("cfg", "objective"):
-        if name in experiment.fields and getattr(spec, name) is None:
-            raise DomainError(f"experiment {spec.name!r} requires field {name!r}")
+    experiment = _checked(spec)
     recorded = _recorded(spec, experiment.fields)
-    for name, value in recorded.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"field {name!r} must be finite, got {value!r}")
     directory = Path(out_dir) / spec.name
-    directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{_file_stem(spec)}.csv"
 
     started = time.perf_counter()

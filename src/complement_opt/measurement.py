@@ -99,12 +99,12 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class GammaTriple:
-    """Unnormalized post-selected pair amplitudes and outcome bookkeeping."""
+    """Unnormalized post-selected pair amplitudes; their squared norm is the
+    outcome probability."""
 
     gamma1: complex
     gamma2: complex
     gamma3: complex
-    norm_factor: float
     outcome_probability: float
 
 
@@ -120,9 +120,7 @@ def _make_gamma(g1: complex, g2: complex, g3: complex) -> GammaTriple:
     norm_sq = abs(g1) ** 2 + abs(g2) ** 2 + abs(g3) ** 2
     _check_possible(norm_sq)
     # positional: a frozen dataclass takes keywords measurably slower per record
-    return GammaTriple(
-        complex(g1), complex(g2), complex(g3), math.sqrt(norm_sq), float(norm_sq)
-    )
+    return GammaTriple(complex(g1), complex(g2), complex(g3), float(norm_sq))
 
 
 def _exclusive_products(alpha: np.ndarray) -> np.ndarray:
@@ -227,12 +225,8 @@ def complementarity_after(gt: GammaTriple) -> ComplementarityTriple:
 
 def postselected_state(gt: GammaTriple) -> TwoQubitPure:
     """Normalized pair state (c00, c01, c10, 0) = (gamma1, gamma2, gamma3)/norm."""
-    return TwoQubitPure(
-        gt.gamma1 / gt.norm_factor,
-        gt.gamma2 / gt.norm_factor,
-        gt.gamma3 / gt.norm_factor,
-        0.0,
-    )
+    norm = math.sqrt(gt.outcome_probability)
+    return TwoQubitPure(gt.gamma1 / norm, gt.gamma2 / norm, gt.gamma3 / norm, 0.0)
 
 
 def per_qubit_distinguishability(cfg: CouplingConfig, i: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .collisions import evolve_closed_form, make_config, oracle_evolve
-from .errors import DegenerateOutcomeError
+from .errors import ConfigError, DegenerateOutcomeError
 from .measurement import (
     GammaTriple,
     MeasurementBasis,
@@ -164,7 +164,14 @@ def _optimizer_check() -> CheckResult:
 def run_verification(
     samples: int = 500, seed: int = 0, perturb: bool = False
 ) -> list[CheckResult]:
-    """Run every check; deterministic for fixed (samples, seed, perturb)."""
+    """Run every check; deterministic for fixed (samples, seed, perturb).
+
+    Raises :class:`ConfigError` unless samples >= 1 and seed >= 0.
+    """
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return [
         _closure_check(samples, seed, _sign_fault if perturb else complementarity_after),
         _evolution_check(seed),

@@ -138,31 +138,38 @@ class TestValidation:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment, key, value, n_max", [
-        pytest.param(e, k, v, n, id=f"{e}-{k}-{v}" + ("-n_max_0" if n == 0 else ""))
-        for e, k, v, n in [
-            ("uniform-sweep", "phi", "nan", 2),
-            ("uniform-sweep", "phi", "inf", 2),
-            ("quantity-vs-n", "reservoir_k", "nan", 2),
-            ("quantity-vs-n", "reservoir_k", "-1", 2),
-            ("quantity-vs-n", "reservoir_k", "-10000", 2),
-            ("continuous-limit", "limit_k", "nan", 2),
-            ("continuous-limit", "limit_T", "nan", 2),
+    @pytest.mark.parametrize("experiment, fields, n_max", [
+        pytest.param(
+            e, f, n,
+            id="-".join([e, *(f"{k}-{v}" for k, v in f.items()), *(["n_max_0"] if n == 0 else [])]),
+        )
+        for e, f, n in [
+            ("uniform-sweep", {"phi": "nan"}, 2),
+            ("uniform-sweep", {"phi": "inf"}, 2),
+            ("quantity-vs-n", {"reservoir_k": "nan"}, 2),
+            ("quantity-vs-n", {"reservoir_k": "-1"}, 2),
+            ("quantity-vs-n", {"reservoir_k": "-10000"}, 2),
+            ("continuous-limit", {"limit_k": "nan"}, 2),
+            ("continuous-limit", {"limit_T": "nan"}, 2),
+            ("continuous-limit", {"limit_k": "-3"}, 2),
+            ("continuous-limit", {"limit_T": "-1"}, 2),
+            # each factor negative, their product kT positive
+            ("continuous-limit", {"limit_k": "-3", "limit_T": "-1"}, 2),
             # no rows to compute: the recorded field itself must be rejected
-            ("uniform-sweep", "phi", "nan", 0),
-            ("uniform-sweep", "phi", "inf", 0),
-            ("quantity-vs-n", "reservoir_k", "nan", 0),
-            ("quantity-vs-n", "reservoir_k", "inf", 0),
-            ("quantity-vs-n", "reservoir_k", "-1", 0),
+            ("uniform-sweep", {"phi": "nan"}, 0),
+            ("uniform-sweep", {"phi": "inf"}, 0),
+            ("quantity-vs-n", {"reservoir_k": "nan"}, 0),
+            ("quantity-vs-n", {"reservoir_k": "inf"}, 0),
+            ("quantity-vs-n", {"reservoir_k": "-1"}, 0),
         ]
     ])
     def test_out_of_domain_scalar_field_exit_3(
-        self, tmp_path, capsys, experiment, key, value, n_max
+        self, tmp_path, capsys, experiment, fields, n_max
     ):
         config = tmp_path / "run.cfg"
         config.write_text(
             f"experiment = {experiment}\npreset = strong\nobjective = concurrence\n"
-            f"n_max = {n_max}\n{key} = {value}\n"
+            f"n_max = {n_max}\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
         )
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == 3
         err = capsys.readouterr().err
@@ -213,6 +220,55 @@ def _run_values(*argv):
     return cli._run_values(cli.build_parser().parse_args(["run", *argv]))
 
 
+_any_float = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1"]), st.floats(-5.0, 5.0).map(repr)
+)
+#: text of every run field except ``out``, in and out of range; sizes stay small
+_ANY_FIELD_TEXT = {
+    "n_max": st.integers(-3, 12).map(str),
+    "theta_steps": st.integers(-3, 24).map(str),
+    "phi": _any_float,
+    "reservoir_k": _any_float,
+    "limit_k": _any_float,
+    "limit_T": _any_float,
+    "limit_N": st.lists(st.integers(-3, 20), max_size=3).map(
+        lambda Ns: ",".join(map(str, Ns))
+    ),
+}
+
+
+@st.composite
+def _any_run_fields(draw) -> dict:
+    """Text of run fields that parses, whether or not the values are valid."""
+    fields = {"experiment": draw(st.sampled_from([*EXPERIMENTS, "bogus"]))}
+    if draw(st.booleans()):
+        fields["objective"] = draw(st.sampled_from([o.value for o in Objective]))
+    coupling = draw(st.sampled_from(["preset", "explicit", "none"]))
+    if coupling == "preset":
+        fields["preset"] = draw(st.sampled_from(list(PRESETS)))
+    elif coupling == "explicit":
+        fields.update(g=draw(_any_float), T=draw(_any_float), N=str(draw(st.integers(-3, 20))))
+    for key, text in _ANY_FIELD_TEXT.items():
+        if draw(st.booleans()):
+            fields[key] = draw(text)
+    return fields
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_run_fields())
+def test_run_exits_0_2_or_3_and_writes_nothing_on_failure(fields):
+    """Any parseable run fields: a clean exit code, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [f"{_flag(key)}={text}" for key, text in fields.items()]
+        code = main(["run", *argv, f"--out={tmp}"])
+        written = sorted(p.name for p in Path(tmp).rglob("*"))
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert len(written) == 3 and fields["experiment"] in written and "manifest.json" in written
+    else:
+        assert written == []  # no CSV, manifest or directory
+
+
 class TestFieldTable:
     def test_every_field_is_a_flag_and_a_config_key(self, tmp_path, capsys):
         assert len(FIELDS) == 14
@@ -233,7 +289,6 @@ class TestFieldTable:
             config.write_text("".join(f"{key} = {text}\n" for key, text in fields.items()))
             from_file = _run_values("--config", str(config))
         assert from_flags == from_file
-        cli._validate(from_flags)
         assert cli._spec(from_flags) == cli._spec(from_file)
 
 
@@ -249,6 +304,16 @@ class TestVerifyCommand:
         assert run_cli("verify") == 0
         assert run_cli("verify", "--samples", "3", "--seed", "4", "--perturb") == 0
         assert seen == [{}, {"samples": 3, "seed": 4, "perturb": True}]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"), ("--samples", "-5"), ("--seed", "-1"),
+    ])
+    def test_out_of_range_flag_exit_2(self, capsys, flag, value):
+        # exit 1 is kept for a failed check
+        assert run_cli("verify", flag, value) == 2
+        out, err = capsys.readouterr()
+        assert "configuration error" in err
+        assert out == ""
 
     def test_verify_passes(self, capsys):
         assert run_cli("verify", "--samples", "40", "--seed", "7") == 0

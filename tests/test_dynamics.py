@@ -250,3 +250,9 @@ class TestContinuousLimitGap:
             continuous_limit_gap(30.0, 1.0, 10)  # sqrt(kT/N) > pi/2
         with pytest.raises(DomainError):
             continuous_limit_gap(3.0, 1.0, 0)
+
+    @pytest.mark.parametrize("k, T", [(-3.0, 1.0), (3.0, -1.0), (-3.0, -1.0)])
+    def test_negative_rate_or_time(self, k, T):
+        # kT > 0 when both are negative: each factor is checked on its own
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            continuous_limit_gap(k, T, 10)

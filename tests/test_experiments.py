@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from complement_opt import DomainError, Objective, make_config
+from complement_opt import ConfigError, DomainError, Objective, make_config
 from complement_opt.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -30,7 +30,7 @@ class TestPresets:
         assert set(PRESETS) == {"strong", "weak"}
 
     def test_unknown_preset(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             preset_config("medium")
 
 
@@ -234,12 +234,34 @@ class TestRunExperiment:
         assert first["csv"].read_bytes() == second["csv"].read_bytes()
 
     def test_unknown_experiment(self, tmp_path, strong):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             run_experiment(ExperimentSpec(name="bogus", cfg=strong), tmp_path)
 
     def test_missing_coupling_rejected(self, tmp_path):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             run_experiment(ExperimentSpec(name="quantity-vs-n"), tmp_path)
+
+    @pytest.mark.parametrize("name, field, value, error", [
+        ("uniform-sweep", "theta_steps", -3, ConfigError),
+        ("uniform-sweep", "theta_steps", 0, ConfigError),
+        ("continuous-limit", "limit_N", (), ConfigError),
+        ("quantity-vs-n", "n_max", -1, ConfigError),
+        ("quantity-vs-n", "reservoir_k", -1.0, DomainError),
+        ("continuous-limit", "limit_k", -1.0, DomainError),
+        ("continuous-limit", "limit_T", -1.0, DomainError),
+        # a field the study ignores is checked all the same
+        ("distinguishability", "phi", math.nan, DomainError),
+    ])
+    def test_bad_field_rejected_before_any_output(
+        self, tmp_path, strong, name, field, value, error
+    ):
+        fields = {"cfg": strong, "preset": "strong", "objective": Objective.VISIBILITY, "n_max": 2}
+        spec = ExperimentSpec(name=name, **{**fields, field: value})
+        with pytest.raises(error) as exc:
+            run_experiment(spec, out_dir=tmp_path)
+        # the package's own type, not a bare ValueError raised on the way
+        assert type(exc.value) is error
+        assert not list(tmp_path.iterdir())
 
     def test_experiment_registry(self):
         assert set(EXPERIMENTS) == {

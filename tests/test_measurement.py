@@ -67,9 +67,8 @@ class TestGammaCoefficients:
         for n in (0, 1, 6):
             gt = gamma_coefficients(strong, MeasurementBasis.uniform(0.3, 0.2, n), n)
             assert type(gt.outcome_probability) is float
-            assert type(gt.norm_factor) is float
         gt = uniform_gamma(strong, 0.3, 0.2, 6)
-        assert type(gt.outcome_probability) is float and type(gt.norm_factor) is float
+        assert type(gt.outcome_probability) is float
 
     def test_all_zero_angles(self, strong):
         n = 6
@@ -208,7 +207,6 @@ class TestComplementarityAfter:
         # reconstructed from tabulated amplitudes (0.17-0.68i, 0.06, 0.70)
         gt = GammaTriple(
             gamma1=0.17 - 0.68j, gamma2=0.06, gamma3=0.70,
-            norm_factor=math.sqrt(abs(0.17 - 0.68j) ** 2 + 0.06**2 + 0.70**2),
             outcome_probability=1.0,
         )
         t = complementarity_after(gt)
