@@ -10,7 +10,10 @@ qubit A, second qubit B):
 
 Every normalized pure state satisfies the closure identity
 V^2 + P^2 + C^2 = 1, which doubles as a cheap self-test of any pipeline that
-produces such states.
+produces such states.  Each function normalizes the amplitudes once, in
+plain complex arithmetic, and returns a Python float; a norm that is not
+finite, or is off 1 by more than ``NORM_TOLERANCE``, raises
+``NormalizationError``.
 """
 from __future__ import annotations
 
@@ -50,42 +53,41 @@ class ComplementarityTriple:
     closure_residual: float
 
 
-def _unit_amplitudes(state: TwoQubitPure) -> np.ndarray:
-    amps = state.amplitudes()
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+def _unit_amplitudes(state: TwoQubitPure) -> tuple[complex, complex, complex, complex]:
+    """The four amplitudes as Python complex numbers, divided by the state's norm."""
+    c00, c01 = complex(state.c00), complex(state.c01)
+    c10, c11 = complex(state.c10), complex(state.c11)
+    norm = math.sqrt(abs(c00) ** 2 + abs(c01) ** 2 + abs(c10) ** 2 + abs(c11) ** 2)
+    # NaN fails every comparison, so finiteness is tested on its own
+    if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOLERANCE:
         raise NormalizationError(
             f"state norm {norm:.9g} deviates from 1 beyond {NORM_TOLERANCE:g}"
         )
-    return amps / norm
+    return c00 / norm, c01 / norm, c10 / norm, c11 / norm
+
+
+def triple(state: TwoQubitPure) -> ComplementarityTriple:
+    """V, P and C from one normalization of the state."""
+    c00, c01, c10, c11 = _unit_amplitudes(state)
+    v = 2.0 * abs(c00 * c10.conjugate() + c01 * c11.conjugate())
+    p = abs((abs(c10) ** 2 + abs(c11) ** 2) - (abs(c00) ** 2 + abs(c01) ** 2))
+    c = 2.0 * abs(c00 * c11 - c01 * c10)
+    return ComplementarityTriple(v, p, c, v * v + p * p + c * c - 1.0)
 
 
 def concurrence(state: TwoQubitPure) -> float:
-    c00, c01, c10, c11 = _unit_amplitudes(state)
-    return 2.0 * abs(c00 * c11 - c01 * c10)
+    return triple(state).C
 
 
 def visibility(state: TwoQubitPure) -> float:
-    c00, c01, c10, c11 = _unit_amplitudes(state)
-    return 2.0 * abs(c00 * np.conj(c10) + c01 * np.conj(c11))
+    return triple(state).V
 
 
 def predictability(state: TwoQubitPure) -> float:
-    c00, c01, c10, c11 = _unit_amplitudes(state)
-    upper = abs(c10) ** 2 + abs(c11) ** 2
-    lower = abs(c00) ** 2 + abs(c01) ** 2
-    return abs(upper - lower)
+    return triple(state).P
 
 
 def distinguishability(state: TwoQubitPure) -> float:
     """Total which-path information, sqrt(C^2 + P^2) = sqrt(1 - V^2)."""
-    return math.hypot(concurrence(state), predictability(state))
-
-
-def triple(state: TwoQubitPure) -> ComplementarityTriple:
-    v = visibility(state)
-    p = predictability(state)
-    c = concurrence(state)
-    return ComplementarityTriple(
-        V=v, P=p, C=c, closure_residual=v * v + p * p + c * c - 1.0
-    )
+    t = triple(state)
+    return math.hypot(t.C, t.P)

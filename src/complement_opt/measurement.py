@@ -23,8 +23,12 @@ up even though the physics is regular.
 ``postselected_amplitudes`` (the amplitudes) and ``_complementarity_from_moduli``
 (V, P, C from their squared moduli) are the one batched kernel: they take
 arrays along the last axis as well as single records, so the library and the
-grid reference in ``optimize`` share them.  A record whose outcome probability
-is below ``DEGENERATE_PROBABILITY`` counts as impossible everywhere.
+grid reference in ``optimize`` share them.  ``project_oracle`` is the
+independent route: it projects the probes of a collision state one at a time,
+in order, in plain complex arithmetic, and shares no helper with the batched
+kernel, so a fault in the kernel shows up as a gap between the two routes.  A
+record whose outcome probability is below ``DEGENERATE_PROBABILITY`` counts as
+impossible everywhere.
 """
 from __future__ import annotations
 
@@ -170,21 +174,27 @@ def project_oracle(
 ) -> tuple[TwoQubitPure, float]:
     """Apply the probe projections directly to a collision state.
 
-    Independent route to the same post-selected pair state: pairs each probe
-    amplitude with its basis vector and collects the surviving two-qubit
-    amplitudes.  Returns the normalized pair state (c11 = 0 by construction)
-    and the outcome probability.
+    Independent route to the same post-selected pair state: projects the
+    probes one at a time, in order, in plain complex arithmetic.  Probe i
+    scales every branch in which it holds no excitation by alpha_i and moves
+    its own excitation branch, which carries alpha_j of every earlier probe,
+    into |0_A 0_B> with weight beta_i.  Shares no helper with the batched
+    kernel.  Returns the normalized pair state (c11 = 0 by construction) and
+    the outcome probability.
     """
     if len(basis) != state.n:
         raise RangeError(
             f"basis supplies {len(basis)} angle pairs but the state has n={state.n}"
         )
-    alpha = basis.alphas
-    beta = basis.betas
-    prod_alpha = float(np.prod(alpha)) if state.n else 1.0
-    c00 = np.sum(state.amp_r * beta * _exclusive_products(alpha)) if state.n else 0.0
-    c01 = state.amp_b * prod_alpha
-    c10 = state.amp_a * prod_alpha
+    c00 = 0j
+    prod_alpha = 1.0  # alpha_j of the probes projected so far
+    for (theta, phi), amp in zip(basis.angles, state.amp_r.tolist()):
+        alpha = math.cos(theta)
+        beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
+        c00 = alpha * c00 + beta * amp * prod_alpha
+        prod_alpha *= alpha
+    c01 = complex(state.amp_b) * prod_alpha
+    c10 = complex(state.amp_a) * prod_alpha
     prob = abs(c00) ** 2 + abs(c01) ** 2 + abs(c10) ** 2
     _check_possible(prob)
     norm = math.sqrt(prob)

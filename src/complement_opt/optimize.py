@@ -24,9 +24,11 @@ points at n = 1 (1 degree steps) and 30 x 30 x 60 = 54,000 at n = 2 (6 degree
 steps), then a Nelder-Mead polish of the leading points over those same
 angles.  The grid runs through the same batched kernel as the library
 (``measurement.postselected_amplitudes`` and the moduli-to-V/P/C formula), but
-only to pick the leading grid points; the value it returns is recomputed at
-its returned angles through ``oracle_evolve``, ``project_oracle`` and
+only to pick the leading grid points.  The polish and the value it returns go
+through ``oracle_evolve``, ``project_oracle`` (a sequential per-probe
+projection that shares no helper with the batched kernel) and
 ``complementarity.triple``, so an error in the shared kernel cannot reach it.
+The value and the angles are returned as Python floats.
 """
 from __future__ import annotations
 
@@ -166,4 +168,4 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
         ),
         key=lambda res: res.fun,
     )
-    return -best.fun, tuple(pairs(best.x))
+    return -float(best.fun), tuple((float(t), float(p)) for t, p in pairs(best.x))

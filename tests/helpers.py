@@ -6,13 +6,14 @@ against a route they do not share.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from pathlib import Path
 
 import numpy as np
 
-from complement_opt import ExcitationState, TwoQubitPure
+from complement_opt import ExcitationState, MeasurementBasis, TwoQubitPure
 # seeded random cases: the same draws as the verify command's
 from complement_opt.verify import _random_basis as random_basis, _random_case as random_coupling
 
@@ -28,6 +29,29 @@ def reduced_pair_density(state: ExcitationState) -> np.ndarray:
     rho = np.outer(vacuum_branch, vacuum_branch.conj())
     rho[0, 0] += np.sum(np.abs(state.amp_r) ** 2)
     return rho
+
+
+def dense_projection(state: ExcitationState, basis: MeasurementBasis) -> tuple[np.ndarray, float]:
+    """Project the probes of the full 2^(n+2) state vector, qubit by qubit.
+
+    Builds psi over the axes (A, B, probe 1, ..., probe n), contracts each
+    probe axis in turn with (cos theta_i, exp(i phi_i) sin theta_i) (linear
+    pairing, no conjugation) and returns the normalized pair amplitudes
+    (c00, c01, c10, c11) and the outcome probability.
+    """
+    n = state.n
+    psi = np.zeros((2,) * (n + 2), dtype=complex)
+    vacuum = (0,) * n
+    psi[(0, 1) + vacuum] = state.amp_b
+    psi[(1, 0) + vacuum] = state.amp_a
+    for i, amp in enumerate(state.amp_r):
+        psi[(0, 0) + tuple(int(j == i) for j in range(n))] = amp
+    for theta, phi in basis.angles:
+        probe = np.array([math.cos(theta), cmath.exp(1j * phi) * math.sin(theta)])
+        psi = np.tensordot(psi, probe, axes=([2], [0]))
+    pair = psi.reshape(4)
+    prob = float(np.vdot(pair, pair).real)
+    return pair / math.sqrt(prob), prob
 
 
 def trace_norm_pair_distinguishability(state: ExcitationState) -> float:

@@ -154,6 +154,22 @@ class TestNormalization:
         with pytest.raises(NormalizationError):
             visibility(TwoQubitPure(1.1, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_amplitude_raises(self, slot, bad):
+        amps = [0.0, SQRT1_2, SQRT1_2, 0.0]
+        amps[slot] = bad
+        state = TwoQubitPure(*amps)
+        for quantity in (concurrence, visibility, predictability, distinguishability, triple):
+            with pytest.raises(NormalizationError):
+                quantity(state)
+
     def test_triple_type_carries_residual(self):
         t = ComplementarityTriple(V=0.6, P=0.0, C=0.8, closure_residual=0.0)
         assert t.V == 0.6 and t.C == 0.8
+        # plain floats at the API edge, also for numpy amplitudes
+        state = random_pure_pair(np.random.default_rng(16))
+        t = triple(state)
+        assert all(type(x) is float for x in (t.V, t.P, t.C, t.closure_residual))
+        for quantity in (concurrence, visibility, predictability, distinguishability):
+            assert type(quantity(state)) is float

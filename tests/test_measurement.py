@@ -23,8 +23,8 @@ from complement_opt import (
     project_oracle,
     uniform_gamma,
 )
-from complement_opt.measurement import canonical_angles
-from helpers import orthogonal_pair_angles, random_basis, random_coupling
+from complement_opt.measurement import DEGENERATE_PROBABILITY, canonical_angles
+from helpers import dense_projection, orthogonal_pair_angles, random_basis, random_coupling
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -106,6 +106,52 @@ class TestGammaCoefficients:
         gt = gamma_coefficients(strong, MeasurementBasis.uniform(math.pi / 2.0, 0.7, 1), 1)
         assert abs(gt.gamma1) == pytest.approx(abs(strong.b) * SQRT1_2, abs=1e-12)
         assert gt.outcome_probability == pytest.approx(abs(strong.b) ** 2 / 2.0, abs=1e-12)
+
+
+def assert_matches_dense(state, basis):
+    pair, prob = dense_projection(state, basis)
+    pure, oracle_prob = project_oracle(state, basis)
+    assert abs(oracle_prob - prob) <= 1e-12
+    assert abs(pure.c00 - pair[0]) <= 1e-12
+    assert abs(pure.c01 - pair[1]) <= 1e-12
+    assert abs(pure.c10 - pair[2]) <= 1e-12
+    assert pair[3] == 0.0
+
+
+class TestProjectOracle:
+    def test_matches_dense_state_vector(self):
+        rng = np.random.default_rng(24)
+        for _ in range(80):
+            cfg, n = random_coupling(rng, n_cap=6)
+            assert_matches_dense(oracle_evolve(cfg, n), random_basis(rng, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_probes_at_theta_pi_over_2(self, strong, n):
+        # one such probe leaves a possible record, two leave an impossible one
+        rng = np.random.default_rng(25 + n)
+        angles = list(random_basis(rng, n).angles)
+        state = oracle_evolve(strong, n)
+        angles[-1] = (math.pi / 2.0, angles[-1][1])
+        assert_matches_dense(state, MeasurementBasis.from_angles(angles))
+        if n >= 2:
+            angles[0] = (math.pi / 2.0, angles[0][1])
+            basis = MeasurementBasis.from_angles(angles)
+            assert dense_projection(state, basis)[1] < DEGENERATE_PROBABILITY
+            with pytest.raises(DegenerateOutcomeError):
+                project_oracle(state, basis)
+
+    def test_independent_of_batched_kernel(self, strong, monkeypatch):
+        # negative control: a fault in the kernel's helper must open a gap
+        from complement_opt import measurement, verify
+
+        shared = measurement._exclusive_products
+        monkeypatch.setattr(measurement, "_exclusive_products", lambda alpha: 1.1 * shared(alpha))
+        assert not verify._projection_check(300, 3).passed
+        basis = MeasurementBasis.uniform(0.7, 0.3, 3)
+        pure, _ = project_oracle(oracle_evolve(strong, 3), basis)
+        expected = postselected_state(gamma_coefficients(strong, basis, 3))
+        gaps = (pure.c00 - expected.c00, pure.c01 - expected.c01, pure.c10 - expected.c10)
+        assert max(map(abs, gaps)) > 1e-3
 
 
 class TestProbabilityAccounting:

@@ -224,6 +224,8 @@ class TestGridReference:
         for cfg in (strong, weak):
             for objective in Objective:
                 value, angles = grid_reference_maximum(cfg, n, objective)
+                assert type(value) is float
+                assert all(type(x) is float for pair in angles for x in pair)
                 assert len(angles) == n
                 assert angles[0][1] == 0.0
                 assert oracle_objective(cfg, n, angles, objective) == value
