@@ -54,12 +54,17 @@ def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map angles into [0, pi) x [0, 2 pi); the projector is unchanged."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+    # a tiny negative angle can round up to the excluded edge, the same projector as 0
     theta = math.fmod(theta, math.pi)
     if theta < 0.0:
         theta += math.pi
+        if theta == math.pi:
+            theta = 0.0
     phi = math.fmod(phi, _TWO_PI)
     if phi < 0.0:
         phi += _TWO_PI
+        if phi == _TWO_PI:
+            phi = 0.0
     return theta, phi
 
 

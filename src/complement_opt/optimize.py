@@ -19,16 +19,20 @@ The reported triple and outcome probability always come from
 
 ``grid_reference_maximum`` is the independent exhaustive reference that checks
 the closed form on small n.  A phase shared by all probes changes no |gamma|,
-so it fixes phi_1 = 0 and searches the 2n - 1 free angles: a grid of 180
-points at n = 1 (1 degree steps) and 30 x 30 x 60 = 54,000 at n = 2 (6 degree
-steps), then a Nelder-Mead polish of the leading points over those same
-angles.  The grid runs through the same batched kernel as the library
-(``measurement.postselected_amplitudes`` and the moduli-to-V/P/C formula), but
-only to pick the leading grid points.  The polish and the value it returns go
-through ``oracle_evolve``, ``project_oracle`` (a sequential per-probe
-projection that shares no helper with the batched kernel) and
-``complementarity.triple``, so an error in the shared kernel cannot reach it.
-The value and the angles are returned as Python floats.
+so it fixes phi_1 = 0 and searches the 2n - 1 free angles.  Replacing one
+probe's (theta, phi) by (pi - theta, phi + pi) flips the sign of every gamma,
+so each theta axis covers only the closed half period [0, pi/2] (pi/2 is kept:
+P = 1 sits there).  That gives a grid of 91 points at n = 1 (1 degree steps)
+and 16 x 16 x 60 = 15,360 at n = 2 (6 degree steps), then a Nelder-Mead polish
+of the 8 leading points over those same angles.  The grid runs through the
+same batched kernel as the library (``measurement.postselected_amplitudes``
+and the moduli-to-V/P/C formula), but only to pick the leading grid points.
+The polish and the value it returns go through ``oracle_evolve``,
+``project_oracle`` (a sequential per-probe projection that shares no helper
+with the batched kernel) and ``complementarity.triple``, so an error in the
+shared kernel cannot reach it.  The value and the angles are returned as
+Python floats; the angles are the canonical ones (``canonical_angles``) at
+which the value was computed.
 """
 from __future__ import annotations
 
@@ -114,24 +118,26 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
 
     A phase common to all probes changes no |gamma|, so phi_1 is fixed at 0:
     the grid and the polish run over the 2n - 1 free angles theta_1..theta_n,
-    phi_2..phi_n (180 points at n = 1, 54,000 at n = 2).  The grid ranks bases
-    with the shared post-selection kernel; the returned value is recomputed at
-    the returned angles through the sequential-collision state, the direct
-    projection route and the pure-state formulas, so it is independent of both
-    the kernel and the closed form in ``maximize``.  Supports n <= 2.
-    Returns (value, angles) with angles as n (theta, phi) pairs.
+    phi_2..phi_n.  (pi - theta, phi + pi) only flips the sign of a probe's
+    vector, so the theta axes cover [0, pi/2] (91 points at n = 1, 15,360 at
+    n = 2).  The grid ranks bases with the shared post-selection kernel; the
+    returned value is recomputed at the returned angles through the
+    sequential-collision state, the direct projection route and the
+    pure-state formulas, so it is independent of both the kernel and the
+    closed form in ``maximize``.  Supports n <= 2.  Returns (value, angles)
+    with angles as n canonical (theta, phi) pairs in [0, pi) x [0, 2 pi).
     """
     cfg.check_n(n)
     if n and n not in _REFERENCE_STEPS_DEG:
         raise DomainError(f"grid reference supports n <= 2, got n={n}")
     state = oracle_evolve(cfg, n)
 
-    def pairs(free: np.ndarray) -> list:
-        return list(zip(free[:n], (0.0, *free[n:])))
+    def basis(free: list) -> MeasurementBasis:
+        return MeasurementBasis.from_angles(zip(free[:n], (0.0, *free[n:])))
 
     def negated(free: np.ndarray) -> float:
         try:
-            pure, _ = project_oracle(state, MeasurementBasis.from_angles(pairs(free)))
+            pure, _ = project_oracle(state, basis(free.tolist()))
         except DegenerateOutcomeError:
             return 1e6
         return -objective_value(pure_triple(pure), objective)
@@ -139,7 +145,8 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
     if n == 0:
         return -negated(np.empty(0)), ()
     step = math.radians(_REFERENCE_STEPS_DEG[n])
-    axes = [np.arange(0.0, math.pi - 1e-12, step)] * n
+    # (theta, phi) and (pi - theta, phi + pi) are the same projector up to sign
+    axes = [np.arange(0.0, math.pi / 2.0 + 1e-12, step)] * n
     axes += [np.arange(0.0, 2.0 * math.pi - 1e-12, step)] * (n - 1)
     # one row of free angles per grid point
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * n - 1)
@@ -168,4 +175,5 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
         ),
         key=lambda res: res.fun,
     )
-    return -float(best.fun), tuple((float(t), float(p)) for t, p in pairs(best.x))
+    # the canonical angles are exactly the ones negated evaluated
+    return -float(best.fun), basis(best.x.tolist()).angles

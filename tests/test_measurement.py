@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from complement_opt import (
     DegenerateOutcomeError,
@@ -34,6 +35,22 @@ class TestMeasurementBasis:
         theta, phi = canonical_angles(-0.1, 7.0)
         assert theta == pytest.approx(math.pi - 0.1)
         assert phi == pytest.approx(7.0 - 2.0 * math.pi)
+
+    @given(
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=-1e3, max_value=1e3),
+    )
+    @example(-1e-17, -1e-17)
+    @example(math.pi, 2.0 * math.pi)
+    def test_canonical_range_idempotence_and_projector(self, theta, phi):
+        canon = canonical_angles(theta, phi)
+        t, p = canon
+        assert 0.0 <= t < math.pi and 0.0 <= p < 2.0 * math.pi
+        assert canonical_angles(t, p) == canon
+        # the same probe vector up to a sign, so the same projector
+        before = np.array([math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta)])
+        after = np.array([math.cos(t), complex(math.cos(p), math.sin(p)) * math.sin(t)])
+        assert min(np.abs(after - before).max(), np.abs(after + before).max()) <= 1e-12
 
     @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 0.0)])
     def test_non_finite_angles_rejected(self, strong, theta, phi):

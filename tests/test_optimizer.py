@@ -219,6 +219,36 @@ class TestGridReference:
             after = [oracle_objective(cfg, n, shifted, o) for o in Objective]
             assert after == pytest.approx(before, abs=1e-12)
 
+    def test_half_period_changes_nothing(self):
+        # the symmetry that lets the reference's theta axes stop at pi/2:
+        # (pi - theta, phi + pi) flips the sign of the probe vector
+        rng = np.random.default_rng(29)
+        control_moved = 0.0
+        for _ in range(200):
+            cfg, n = random_coupling(rng, n_cap=4)
+            if n == 0:
+                continue
+            angles = random_basis(rng, n).angles
+            i = int(rng.integers(n))
+            theta, phi = angles[i]
+            mirrored = list(angles)
+            mirrored[i] = (math.pi - theta, phi + math.pi)
+            control = list(angles)
+            control[i] = (math.pi - theta, phi)
+            try:
+                before = [oracle_objective(cfg, n, angles, o) for o in Objective]
+            except DegenerateOutcomeError:
+                continue
+            after = [oracle_objective(cfg, n, mirrored, o) for o in Objective]
+            assert after == pytest.approx(before, abs=1e-12)
+            try:
+                moved = oracle_objective(cfg, n, control, Objective.VISIBILITY)
+            except DegenerateOutcomeError:
+                continue
+            control_moved = max(control_moved, abs(moved - before[0]))
+        # negative control: theta -> pi - theta alone is a different projector
+        assert control_moved > 0.1
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_output_contract(self, strong, weak, n):
         for cfg in (strong, weak):
@@ -226,6 +256,7 @@ class TestGridReference:
                 value, angles = grid_reference_maximum(cfg, n, objective)
                 assert type(value) is float
                 assert all(type(x) is float for pair in angles for x in pair)
+                assert all(0.0 <= t < math.pi and 0.0 <= p < 2.0 * math.pi for t, p in angles)
                 assert len(angles) == n
                 assert angles[0][1] == 0.0
                 assert oracle_objective(cfg, n, angles, objective) == value
