@@ -99,6 +99,8 @@ def _spec(values: dict) -> ExperimentSpec:
     coupling = [fields.pop(key, None) for key in ("g", "T", "N")]
     if None in coupling and coupling != [None, None, None]:
         raise ConfigError("fields 'g', 'T', 'N' must be given together")
+    if fields.get("preset") is not None and coupling != [None, None, None]:
+        raise ConfigError("give either field 'preset' or fields 'g', 'T', 'N', not both")
     if fields.get("preset") is not None:
         fields["cfg"] = preset_config(fields["preset"])
     elif None not in coupling:

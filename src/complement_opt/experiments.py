@@ -1,12 +1,14 @@
 """Experiment harness: named studies, CSV emission and run manifests.
 
-Each study produces plain records so callers can post-process or plot as they
-like.  ``EXPERIMENTS`` registers every named study with its CSV rows, header
-and the :class:`ExperimentSpec` fields it reads; ``run_experiment`` looks a
-spec up there and persists one CSV plus a JSON manifest recording exactly
-those fields and the versions used.  CSV floats are serialized with 17
-significant digits, so identical spec reruns are byte-identical; the manifest
-additionally records wall time and is therefore excluded from that guarantee.
+Each study returns its rows in CSV column order (the uniform sweep yields
+them), so callers can post-process or plot them as they like and
+``run_experiment`` writes them as they come.  ``EXPERIMENTS`` registers every
+named study with its CSV header and the :class:`ExperimentSpec` fields it
+reads; ``run_experiment`` looks a spec up there and persists one CSV plus a
+JSON manifest recording exactly those fields and the versions used.  One rule,
+``_fmt``, turns each value into CSV cells; floats get 17 significant digits,
+so identical spec reruns are byte-identical.  The manifest additionally
+records wall time and is therefore excluded from that guarantee.
 """
 from __future__ import annotations
 
@@ -16,12 +18,18 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .collisions import CouplingConfig, make_config, reservoir_limit_concurrence, continuous_limit_gap
+from .collisions import (
+    CouplingConfig,
+    continuous_limit_gap,
+    distinguishability_ab,
+    make_config,
+    reservoir_limit_concurrence,
+)
 from .errors import ConfigError, DegenerateOutcomeError, DomainError
 from .measurement import (
     complementarity_after,
@@ -39,6 +47,9 @@ PRESETS: dict[str, dict] = {
     "weak": {"g": 0.25, "T": 2.0 * math.pi, "N_total": 20},
 }
 
+#: collision counts n tabulated by ``run_table_states``
+TABLE_NS = (1, 2, 10)
+
 DEFAULT_OUT = "results"
 
 
@@ -53,10 +64,12 @@ class ExperimentSpec:
     """Declarative description of one study.
 
     ``preset`` is a label used for file naming and the manifest; ``cfg`` is
-    the coupling actually used.  Each experiment reads only the fields its
+    the coupling actually used, and a manifest records ``preset`` whenever it
+    records ``cfg``.  Each experiment reads only the fields its
     ``EXPERIMENTS`` entry lists and ignores the rest, but ``run_experiment``
-    checks every field.  These defaults are the only ones: the CLI leaves a
-    field it was not given unset.
+    checks every field.  These defaults are the only ones: the studies take
+    every argument explicitly, and the CLI leaves a field it was not given
+    unset.
     """
 
     name: str
@@ -72,9 +85,8 @@ class ExperimentSpec:
     limit_N: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    """One optimized point of a quantity-vs-n study."""
+class CurveRecord(NamedTuple):
+    """One optimized point of a quantity-vs-n study, in CSV column order."""
 
     n: int
     V: float
@@ -86,93 +98,57 @@ class CurveRecord:
 
 
 def run_quantity_vs_n(
-    cfg: CouplingConfig,
-    objective: Objective,
-    n_max: int,
-    reservoir_k: float | None = None,
+    cfg: CouplingConfig, objective: Objective, n_max: int, reservoir_k: float | None
 ) -> list[CurveRecord]:
     """Optimized complementarity triple for each n, with the many-probe
     exponential-decay concurrence as a companion column.
 
     The companion maps collision index to elapsed time t_n = n * dt and uses
-    rate ``reservoir_k`` (defaults to the coupling's own k = g^2 T / N).
+    rate ``reservoir_k`` (None means the coupling's own k = g^2 T / N).
     """
     k = cfg.k if reservoir_k is None else reservoir_k
-    records = []
+    rows = []
     for result in curve(cfg, objective, n_max):
         t = result.achieved
-        records.append(
-            CurveRecord(
-                n=result.n,
-                V=t.V,
-                P=t.P,
-                C=t.C,
-                reservoir_C=reservoir_limit_concurrence(k, result.n * cfg.dt),
-                outcome_probability=result.outcome_probability,
-                angles=tuple(
-                    float(x) for pair in result.basis.angles for x in pair
-                ),
-            )
+        reservoir_C = reservoir_limit_concurrence(k, result.n * cfg.dt)
+        angles = tuple(float(x) for pair in result.basis.angles for x in pair)
+        rows.append(
+            CurveRecord(result.n, t.V, t.P, t.C, reservoir_C, result.outcome_probability, angles)
         )
-    return records
-
-
-@dataclass(frozen=True)
-class UniformSweepResult:
-    """V, P, C on the (n, theta) grid of identical-basis measurements.
-
-    Matrices are indexed [n-1, theta]; impossible post-selections (for
-    example theta = pi/2 with n >= 2) are NaN.
-    """
-
-    ns: np.ndarray
-    thetas: np.ndarray
-    phi: float
-    V: np.ndarray
-    P: np.ndarray
-    C: np.ndarray
+    return rows
 
 
 def run_uniform_sweep(
-    cfg: CouplingConfig,
-    n_max: int,
-    theta_steps: int = 60,
-    phi: float = 0.0,
-) -> UniformSweepResult:
-    """Sweep a shared measurement angle theta over [0, pi] for n = 1..n_max."""
+    cfg: CouplingConfig, n_max: int, theta_steps: int, phi: float
+) -> Iterator[tuple[int, float, float, float, float]]:
+    """(n, theta, V, P, C) for a shared measurement angle theta on a grid of
+    ``theta_steps`` intervals over [0, pi], n = 1..n_max, n-major.
+
+    Impossible post-selections (for example theta = pi/2 with n >= 2) have
+    NaN V, P and C.  A generator: ``cfg.check_n(n_max)`` runs at the first row.
+    """
     cfg.check_n(n_max)
-    thetas = np.linspace(0.0, math.pi, theta_steps + 1)
-    ns = np.arange(1, n_max + 1)
-    shape = (n_max, thetas.size)
-    V = np.full(shape, np.nan)
-    P = np.full(shape, np.nan)
-    C = np.full(shape, np.nan)
-    for i, n in enumerate(ns):
-        for j, theta in enumerate(thetas):
+    thetas = np.linspace(0.0, math.pi, theta_steps + 1).tolist()
+    for n in range(1, n_max + 1):
+        for theta in thetas:
             try:
-                t = complementarity_after(uniform_gamma(cfg, theta, phi, int(n)))
+                t = complementarity_after(uniform_gamma(cfg, theta, phi, n))
             except DegenerateOutcomeError:
-                continue
-            V[i, j], P[i, j], C[i, j] = t.V, t.P, t.C
-    return UniformSweepResult(ns=ns, thetas=thetas, phi=phi, V=V, P=P, C=C)
+                yield n, theta, math.nan, math.nan, math.nan
+            else:
+                yield n, theta, t.V, t.P, t.C
 
 
 def run_distinguishability_profile(cfg: CouplingConfig) -> list[tuple[int, float, float]]:
     """(i, information on probe i, pair information a^(2i)) for i = 1..N."""
     return [
-        (
-            i,
-            per_qubit_distinguishability(cfg, i),
-            cfg.a ** (2 * i),
-        )
+        (i, per_qubit_distinguishability(cfg, i), distinguishability_ab(cfg, i))
         for i in range(1, cfg.N_total + 1)
     ]
 
 
 def run_delta_d(
-    cfg: CouplingConfig,
-    objective: Objective,
-    n_max: int,
+    cfg: CouplingConfig, objective: Objective, n_max: int
 ) -> list[tuple[int, float, float, float]]:
     """(n, optimized V, total information change, pair information change)."""
     rows = []
@@ -182,9 +158,9 @@ def run_delta_d(
     return rows
 
 
-@dataclass(frozen=True)
-class TableStateRow:
-    """Post-selected pair state for one (objective, coupling, n) cell."""
+class TableStateRow(NamedTuple):
+    """Post-selected pair state for one (objective, coupling, n) cell, in CSV
+    column order (each amplitude fills a real and an imaginary column)."""
 
     objective: str
     preset: str
@@ -209,34 +185,22 @@ def _canonical_phase(c00: complex, c01: complex, c10: complex) -> tuple[complex,
     return c00, c01, c10
 
 
-def run_table_states(
-    ns: Sequence[int] = (1, 2, 10),
-    presets: Sequence[str] = ("strong", "weak"),
-) -> list[TableStateRow]:
+def run_table_states() -> list[TableStateRow]:
     """Optimized post-selected states for every (objective, preset, n) cell,
-    phase-canonicalized for comparison."""
+    n in ``TABLE_NS``, phase-canonicalized for comparison."""
     rows = []
     for objective in Objective:
-        for preset in presets:
+        for preset in PRESETS:
             cfg = preset_config(preset)
-            for n in ns:
-                result = maximize(cfg, int(n), objective)
-                state = postselected_state(
-                    gamma_coefficients(cfg, result.basis, int(n))
-                )
+            for n in TABLE_NS:
+                result = maximize(cfg, n, objective)
+                state = postselected_state(gamma_coefficients(cfg, result.basis, n))
                 c00, c01, c10 = _canonical_phase(state.c00, state.c01, state.c10)
-                rows.append(
-                    TableStateRow(
-                        objective=objective.value,
-                        preset=preset,
-                        n=int(n),
-                        c00=complex(c00),
-                        c01=complex(c01),
-                        c10=complex(c10),
-                        achieved=objective_value(result.achieved, objective),
-                        outcome_probability=result.outcome_probability,
-                    )
-                )
+                achieved = objective_value(result.achieved, objective)
+                rows.append(TableStateRow(
+                    objective.value, preset, n, complex(c00), complex(c01), complex(c10),
+                    achieved, result.outcome_probability,
+                ))
     return rows
 
 
@@ -250,65 +214,42 @@ def run_continuous_limit_convergence(
 # ---------------------------------------------------------------------------
 # registry and persistence
 
-def _angles_field(angles: Sequence[float]) -> str:
-    return " ".join(f"{a:.17g}" for a in angles)
-
-
-def _curve_rows(spec: ExperimentSpec):
-    for r in run_quantity_vs_n(spec.cfg, spec.objective, spec.n_max, spec.reservoir_k):
-        yield (r.n, r.V, r.P, r.C, r.reservoir_C, r.outcome_probability, _angles_field(r.angles))
-
-
-def _sweep_rows(spec: ExperimentSpec):
-    sweep = run_uniform_sweep(spec.cfg, spec.n_max, spec.theta_steps, spec.phi)
-    for i, n in enumerate(sweep.ns):
-        for j, theta in enumerate(sweep.thetas):
-            yield (int(n), float(theta), sweep.V[i, j], sweep.P[i, j], sweep.C[i, j])
-
-
-def _table_rows(spec: ExperimentSpec):
-    for r in run_table_states():
-        yield (
-            r.objective, r.preset, r.n,
-            r.c00.real, r.c00.imag, r.c01.real, r.c01.imag, r.c10.real, r.c10.imag,
-            r.achieved, r.outcome_probability,
-        )
-
-
 @dataclass(frozen=True)
 class Experiment:
-    """A named study: its CSV rows and header, and the :class:`ExperimentSpec`
-    fields it reads.  Those fields are what its manifest records; a study that
-    reads ``cfg`` or ``objective`` cannot run without it."""
+    """A named study: a function of the spec returning its CSV rows, the CSV
+    header, and the :class:`ExperimentSpec` fields that function reads.  Those
+    fields are what its manifest records; a study that reads ``cfg`` or
+    ``objective`` cannot run without it.  ``rows`` calls its study by its
+    module-global name, so a wrapper rebound there (a timing span) runs too."""
 
     rows: Callable[[ExperimentSpec], Iterable[Sequence]]
     header: tuple[str, ...]
     fields: tuple[str, ...]
 
 
-_COUPLED = ("preset", "cfg")
-
 EXPERIMENTS: dict[str, Experiment] = {
     "quantity-vs-n": Experiment(
-        _curve_rows,
+        lambda spec: run_quantity_vs_n(spec.cfg, spec.objective, spec.n_max, spec.reservoir_k),
         ("n", "V", "P", "C", "reservoir_C", "outcome_probability", "angles"),
-        (*_COUPLED, "objective", "n_max", "reservoir_k"),
+        ("cfg", "objective", "n_max", "reservoir_k"),
     ),
     "uniform-sweep": Experiment(
-        _sweep_rows, ("n", "theta", "V", "P", "C"), (*_COUPLED, "n_max", "theta_steps", "phi")
+        lambda spec: run_uniform_sweep(spec.cfg, spec.n_max, spec.theta_steps, spec.phi),
+        ("n", "theta", "V", "P", "C"),
+        ("cfg", "n_max", "theta_steps", "phi"),
     ),
     "distinguishability": Experiment(
         lambda spec: run_distinguishability_profile(spec.cfg),
         ("i", "d_qa_qi", "d_qa_qb"),
-        _COUPLED,
+        ("cfg",),
     ),
     "delta-d": Experiment(
         lambda spec: run_delta_d(spec.cfg, spec.objective, spec.n_max),
         ("n", "V", "delta_d_total", "delta_d_pair"),
-        (*_COUPLED, "objective", "n_max"),
+        ("cfg", "objective", "n_max"),
     ),
     "table": Experiment(
-        _table_rows,
+        lambda spec: run_table_states(),
         (
             "objective", "preset", "n",
             "c00_re", "c00_im", "c01_re", "c01_im", "c10_re", "c10_im",
@@ -325,10 +266,15 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 
 def _fmt(x) -> str:
+    """The CSV cells of one value: NaN is empty, a float has 17 significant
+    digits, a complex is two cells (real, then imaginary), a tuple is one
+    space-separated cell, anything else is ``str``."""
     if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return f"{x:.17g}"
+        return "" if math.isnan(x) else f"{x:.17g}"
+    if isinstance(x, complex):
+        return f"{_fmt(x.real)},{_fmt(x.imag)}"
+    if isinstance(x, tuple):
+        return " ".join(f"{a:.17g}" for a in x)
     return str(x)
 
 
@@ -351,11 +297,13 @@ def _file_stem(spec: ExperimentSpec) -> str:
 
 
 def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
-    """Manifest entries of ``fields``, keyed by field name (``cfg`` as ``coupling``)."""
+    """Manifest entries of ``fields``, keyed by field name (``cfg`` as
+    ``coupling``, preceded by its label ``preset``)."""
     record = {}
     for name in fields:
         value = getattr(spec, name)
         if name == "cfg":
+            record["preset"] = spec.preset
             record["coupling"] = {"g": value.g, "T": value.T, "N_total": value.N_total}
         else:
             record[name] = value.value if isinstance(value, Objective) else value

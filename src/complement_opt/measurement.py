@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .collisions import CouplingConfig, ExcitationState
+from .collisions import CouplingConfig, ExcitationState, distinguishability_ab
 from .complementarity import ComplementarityTriple, TwoQubitPure
 from .errors import DegenerateOutcomeError, DomainError, RangeError
 
@@ -284,6 +284,6 @@ def delta_d_pair(cfg: CouplingConfig, n: int, v_after: float) -> float:
     sqrt(1 - V^2) - a^(2n): the post-measurement pair information minus the
     a^(2n) the pair held before the probes were measured.
     """
-    cfg.check_n(n)
+    before = distinguishability_ab(cfg, n)
     v = _check_visibility(v_after)
-    return math.sqrt(max(1.0 - v * v, 0.0)) - cfg.a ** (2 * n)
+    return math.sqrt(max(1.0 - v * v, 0.0)) - before

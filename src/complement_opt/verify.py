@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collisions import evolve_closed_form, make_config, oracle_evolve
+from .collisions import distinguishability_ab, evolve_closed_form, make_config, oracle_evolve
 from .errors import ConfigError, DegenerateOutcomeError
 from .measurement import (
     GammaTriple,
@@ -31,7 +31,7 @@ from .measurement import (
     project_oracle,
 )
 from .optimize import Objective, grid_reference_maximum, maximize, objective_value
-from .experiments import preset_config
+from .experiments import PRESETS, preset_config
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,10 @@ def _projection_check(samples: int, seed: int) -> CheckResult:
 
 def _budget_check() -> CheckResult:
     worst = 0.0
-    for preset in ("strong", "weak"):
+    for preset in PRESETS:
         cfg = preset_config(preset)
         for n in range(0, cfg.N_total + 1):
-            total = cfg.a ** (2 * n) + sum(
+            total = distinguishability_ab(cfg, n) + sum(
                 per_qubit_distinguishability(cfg, i) for i in range(1, n + 1)
             )
             worst = max(worst, abs(total - 1.0))
@@ -147,7 +147,7 @@ def _budget_check() -> CheckResult:
 
 def _optimizer_check() -> CheckResult:
     worst = 0.0
-    for preset in ("strong", "weak"):
+    for preset in PRESETS:
         cfg = preset_config(preset)
         for n in (1, 2):
             for objective in Objective:

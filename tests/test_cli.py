@@ -109,6 +109,22 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "'g', 'T', 'N'" in err
 
+    def test_preset_with_explicit_coupling_rejected(self, tmp_path, capsys):
+        # neither may silently win, whether the preset comes from a flag or a file
+        out = tmp_path / "out"
+        coupling = ("--g", "0.1", "--T", "1", "--N", "5")
+        code = run_cli(
+            "run", "--experiment", "distinguishability", "--preset", "strong",
+            *coupling, "--out", str(out),
+        )
+        assert code == 2
+        assert "preset" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("experiment = distinguishability\npreset = strong\n")
+        assert run_cli("run", "--config", str(config), *coupling, "--out", str(out)) == 2
+        assert "preset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_restarts(self, tmp_path, capsys):
         # restarts is neither a run option nor a config key
         with pytest.raises(SystemExit) as exc:

@@ -1,14 +1,18 @@
+import dataclasses
+import inspect
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from complement_opt import ConfigError, DomainError, Objective, make_config
+from complement_opt import ConfigError, DomainError, Objective, experiments, make_config
 from complement_opt.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     PRESETS,
+    TableStateRow,
     preset_config,
     run_continuous_limit_convergence,
     run_delta_d,
@@ -36,7 +40,7 @@ class TestPresets:
 
 class TestQuantityVsN:
     def test_rows_and_closure(self, strong):
-        records = run_quantity_vs_n(strong, Objective.VISIBILITY, 3)
+        records = run_quantity_vs_n(strong, Objective.VISIBILITY, 3, reservoir_k=None)
         assert [r.n for r in records] == [1, 2, 3]
         for r in records:
             assert abs(r.V**2 + r.P**2 + r.C**2 - 1.0) <= 1e-10
@@ -44,7 +48,7 @@ class TestQuantityVsN:
             assert 0.0 < r.outcome_probability <= 1.0 + 1e-12
 
     def test_reservoir_column_default_rate(self, strong):
-        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 3)
+        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 3, reservoir_k=None)
         for r in records:
             expected = math.exp(-strong.k * r.n * strong.dt / 2.0)
             assert r.reservoir_C == pytest.approx(expected, abs=1e-15)
@@ -58,29 +62,40 @@ class TestQuantityVsN:
         )
 
     def test_strong_concurrence_tracks_reservoir_shape(self, strong):
-        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 6)
+        records = run_quantity_vs_n(strong, Objective.CONCURRENCE, 6, reservoir_k=None)
         for r in records:
             if r.n >= 4:
                 assert abs(r.C - r.reservoir_C) <= 0.1
 
 
+def _sweep(cfg, n_max, theta_steps):
+    """The uniform sweep's rows reshaped: ``ns``, ``thetas``, and V, P, C
+    matrices indexed [n-1, theta] (phi = 0)."""
+    cells = np.array(list(run_uniform_sweep(cfg, n_max, theta_steps, 0.0)))
+    cells = cells.reshape(n_max, theta_steps + 1, 5)
+    return SimpleNamespace(
+        ns=cells[:, 0, 0].astype(int), thetas=cells[0, :, 1],
+        V=cells[..., 2], P=cells[..., 3], C=cells[..., 4],
+    )
+
+
 class TestUniformSweep:
     def test_theta_zero_reproduces_no_eraser_values(self, strong):
-        sweep = run_uniform_sweep(strong, 5, theta_steps=12)
+        sweep = _sweep(strong, 5, theta_steps=12)
         for i, n in enumerate(sweep.ns):
             a_n = strong.a ** int(n)
             assert sweep.V[i, 0] == pytest.approx(0.0, abs=1e-14)
             assert sweep.C[i, 0] == pytest.approx(2 * a_n / (1 + a_n * a_n), abs=1e-12)
 
     def test_degenerate_cells_are_missing(self, strong):
-        sweep = run_uniform_sweep(strong, 4, theta_steps=12)
+        sweep = _sweep(strong, 4, theta_steps=12)
         mid = 6  # theta = pi/2 exactly
         assert math.isclose(sweep.thetas[mid], math.pi / 2.0)
         assert not np.isnan(sweep.V[0, mid])  # n = 1 stays regular
         assert np.isnan(sweep.V[1:, mid]).all()
 
     def test_strong_quarter_pi_gives_high_visibility(self, strong):
-        sweep = run_uniform_sweep(strong, 18, theta_steps=12)
+        sweep = _sweep(strong, 18, theta_steps=12)
         quarter = 3  # theta = pi/4
         assert math.isclose(sweep.thetas[quarter], math.pi / 4.0)
         assert sweep.V[-1, quarter] >= 0.9
@@ -88,21 +103,21 @@ class TestUniformSweep:
     def test_strong_near_pi_over_2_gives_high_predictability(self, strong):
         # the n = 18 row has a missing band around pi/2 where the outcome
         # probability underflows; the nearest recorded cells sit near P = 1
-        sweep = run_uniform_sweep(strong, 18, theta_steps=60)
+        sweep = _sweep(strong, 18, theta_steps=60)
         row = sweep.P[-1]
         finite = np.flatnonzero(~np.isnan(row))
         near = finite[np.argmin(np.abs(sweep.thetas[finite] - math.pi / 2.0))]
         assert row[near] >= 0.9
 
     def test_recorded_cells_satisfy_closure(self, strong):
-        sweep = run_uniform_sweep(strong, 6, theta_steps=24)
+        sweep = _sweep(strong, 6, theta_steps=24)
         total = sweep.V**2 + sweep.P**2 + sweep.C**2
         finite = ~np.isnan(total)
         assert finite.any()
         assert np.max(np.abs(total[finite] - 1.0)) <= 1e-10
 
     def test_weak_theta_pi_sustains_entanglement(self, weak):
-        sweep = run_uniform_sweep(weak, 20, theta_steps=12)
+        sweep = _sweep(weak, 20, theta_steps=12)
         for i, n in enumerate(sweep.ns):
             a_n = weak.a ** int(n)
             assert sweep.C[i, -1] == pytest.approx(2 * a_n / (1 + a_n * a_n), abs=1e-12)
@@ -154,8 +169,8 @@ class TestDeltaD:
 
 class TestTableStates:
     def test_canonical_phase_and_layout(self):
-        rows = run_table_states(ns=(1,))
-        assert len(rows) == 6
+        rows = run_table_states()
+        assert len(rows) == 18
         for row in rows:
             reference = next(c for c in (row.c10, row.c00, row.c01) if abs(c) > 1e-6)
             assert reference.imag == pytest.approx(0.0, abs=1e-9)
@@ -164,9 +179,9 @@ class TestTableStates:
             assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_cells_cover_objectives_and_presets(self):
-        rows = run_table_states(ns=(1, 2))
+        rows = run_table_states()
         keys = {(r.objective, r.preset, r.n) for r in rows}
-        assert len(keys) == 12
+        assert len(keys) == 18
 
 
 class TestContinuousLimit:
@@ -268,3 +283,35 @@ class TestRunExperiment:
             "quantity-vs-n", "uniform-sweep", "distinguishability",
             "delta-d", "table", "continuous-limit",
         }
+
+    def test_registry_states_each_study_once(self):
+        # an entry records exactly the spec fields its rows read, and the
+        # studies take every value from the spec, whose defaults are the only ones
+        spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        studies = set()
+        for name, entry in EXPERIMENTS.items():
+            names = set(entry.rows.__code__.co_names)
+            assert names & spec_fields == set(entry.fields), name
+            studies |= {getattr(experiments, n) for n in names if n.startswith("run_")}
+        assert len(studies) == 6
+        for study in studies:
+            parameters = inspect.signature(study).parameters.values()
+            assert all(p.default is p.empty for p in parameters), study.__name__
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_line_has_a_cell_per_column(self, tmp_path, strong, name):
+        spec = ExperimentSpec(
+            name=name, cfg=strong, preset="strong", objective=Objective.VISIBILITY,
+            n_max=2, theta_steps=4,
+        )
+        lines = run_experiment(spec, out_dir=tmp_path)["csv"].read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert rows
+        assert all(len(line.split(",")) == len(header) for line in lines[1:])
+        if name == "table":
+            # three complex amplitudes fill two columns each
+            assert (len(header), len(TableStateRow._fields)) == (11, 8)
+        if name == "quantity-vs-n":
+            for row in rows:
+                assert len(row["angles"].split(" ")) == 2 * int(row["n"])
