@@ -287,11 +287,13 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _file_stem(spec: ExperimentSpec) -> str:
+def _file_stem(spec: ExperimentSpec, fields: Sequence[str]) -> str:
+    """``<preset>-<objective>``, each part only if its study reads it, else
+    the experiment's name."""
     parts = []
-    if spec.preset:
+    if "cfg" in fields and spec.preset:
         parts.append(spec.preset)
-    if spec.objective is not None:
+    if "objective" in fields:
         parts.append(spec.objective.value)
     return "-".join(parts) if parts else spec.name
 
@@ -347,13 +349,14 @@ def run_experiment(
     raises :class:`ConfigError` (unknown experiment, missing field, count out
     of range) or :class:`DomainError` (a non-finite float, a negative rate or
     time).  Returns {"csv": Path, "manifest": Path}.  Layout is
-    ``<out_dir>/<experiment>/<preset>-<objective>.csv`` (components dropped
-    when not applicable) with ``manifest.json`` alongside.
+    ``<out_dir>/<experiment>/<preset>-<objective>.csv``, each component
+    dropped when the study does not read it, with ``manifest.json``
+    alongside; a study that reads neither writes ``<experiment>.csv``.
     """
     experiment = _checked(spec)
     recorded = _recorded(spec, experiment.fields)
     directory = Path(out_dir) / spec.name
-    csv_path = directory / f"{_file_stem(spec)}.csv"
+    csv_path = directory / f"{_file_stem(spec, experiment.fields)}.csv"
 
     started = time.perf_counter()
     _write_csv(csv_path, experiment.header, experiment.rows(spec))

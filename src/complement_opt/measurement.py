@@ -20,15 +20,14 @@ sum_i a^(i-1) beta_i prod_{j != i} alpha_j, which stays finite when some
 alpha_i = 0 (theta_i = pi/2), where the ratio form beta_i / alpha_i would blow
 up even though the physics is regular.
 
-``postselected_amplitudes`` (the amplitudes) and ``_complementarity_from_moduli``
-(V, P, C from their squared moduli) are the one batched kernel: they take
-arrays along the last axis as well as single records, so the library and the
-grid reference in ``optimize`` share them.  ``project_oracle`` is the
-independent route: it projects the probes of a collision state one at a time,
-in order, in plain complex arithmetic, and shares no helper with the batched
-kernel, so a fault in the kernel shows up as a gap between the two routes.  A
-record whose outcome probability is below ``DEGENERATE_PROBABILITY`` counts as
-impossible everywhere.
+``gamma_coefficients`` (the amplitudes of one record) and
+``_complementarity_from_moduli`` (V, P, C from their squared moduli) are the
+library's post-selection kernel.  ``project_oracle`` is the independent route:
+it projects the probes of a collision state one at a time, in order, in plain
+complex arithmetic, and shares no helper with the kernel, so a fault in the
+kernel shows up as a gap between the two routes.  A record whose outcome
+probability is below ``DEGENERATE_PROBABILITY`` counts as impossible
+everywhere.
 """
 from __future__ import annotations
 
@@ -133,27 +132,15 @@ def _make_gamma(g1: complex, g2: complex, g3: complex) -> GammaTriple:
 
 
 def _exclusive_products(alpha: np.ndarray) -> np.ndarray:
-    """Along the last axis: product of all entries except the own one (for an
-    empty axis a single 1, which broadcasts away against empty operands)."""
-    ones = np.ones(alpha.shape[:-1] + (1,), dtype=alpha.dtype)
-    pre = np.concatenate([ones, np.cumprod(alpha[..., :-1], axis=-1)], axis=-1)
-    suf = np.concatenate([np.cumprod(alpha[..., :0:-1], axis=-1)[..., ::-1], ones], axis=-1)
+    """Product of all entries of alpha except the own one (for an empty alpha
+    a single 1, which broadcasts away against the other empty operands)."""
+    pre = np.concatenate([[1.0], np.cumprod(alpha[:-1])])
+    suf = np.concatenate([np.cumprod(alpha[:0:-1])[::-1], [1.0]])
     return pre * suf
 
 
-def postselected_amplitudes(a: float, b: complex, alpha: np.ndarray, beta: np.ndarray):
-    """(gamma1, gamma2, gamma3) for probe coefficients alpha, beta along the last
-    axis (one entry per measured probe); leading axes are independent records."""
-    n = alpha.shape[-1]
-    g3 = _SQRT1_2 * np.prod(alpha, axis=-1)
-    g2 = a ** n * g3
-    g1 = b * _SQRT1_2 * np.sum(a ** np.arange(n) * beta * _exclusive_products(alpha), axis=-1)
-    return g1, g2, g3
-
-
-def _complementarity_from_moduli(m1, m2, m3):
-    """(V, P, C) of the pair from |gamma1|^2, |gamma2|^2, |gamma3|^2 (floats or
-    arrays; operators only, so a single record pays no ufunc dispatch)."""
+def _complementarity_from_moduli(m1: float, m2: float, m3: float):
+    """(V, P, C) of the pair from |gamma1|^2, |gamma2|^2, |gamma3|^2."""
     total = m1 + m2 + m3
     return (
         2.0 * (m1 * m3) ** 0.5 / total,
@@ -171,7 +158,11 @@ def gamma_coefficients(
         raise RangeError(
             f"basis supplies {len(basis)} angle pairs but n={n} probes are measured"
         )
-    return _make_gamma(*postselected_amplitudes(cfg.a, cfg.b, basis.alphas, basis.betas))
+    alpha, beta = basis.alphas, basis.betas
+    g3 = _SQRT1_2 * np.prod(alpha)
+    g2 = cfg.a ** n * g3
+    g1 = cfg.b * _SQRT1_2 * np.sum(cfg.a ** np.arange(n) * beta * _exclusive_products(alpha))
+    return _make_gamma(g1, g2, g3)
 
 
 def project_oracle(
@@ -183,9 +174,9 @@ def project_oracle(
     probes one at a time, in order, in plain complex arithmetic.  Probe i
     scales every branch in which it holds no excitation by alpha_i and moves
     its own excitation branch, which carries alpha_j of every earlier probe,
-    into |0_A 0_B> with weight beta_i.  Shares no helper with the batched
-    kernel.  Returns the normalized pair state (c11 = 0 by construction) and
-    the outcome probability.
+    into |0_A 0_B> with weight beta_i.  Shares no helper with
+    ``gamma_coefficients``.  Returns the normalized pair state (c11 = 0 by
+    construction) and the outcome probability.
     """
     if len(basis) != state.n:
         raise RangeError(

@@ -22,32 +22,29 @@ the closed form on small n.  A phase shared by all probes changes no |gamma|,
 so it fixes phi_1 = 0 and searches the 2n - 1 free angles.  Replacing one
 probe's (theta, phi) by (pi - theta, phi + pi) flips the sign of every gamma,
 so each theta axis covers only the closed half period [0, pi/2] (pi/2 is kept:
-P = 1 sits there).  That gives a grid of 91 points at n = 1 (1 degree steps)
-and 16 x 16 x 60 = 15,360 at n = 2 (6 degree steps), then a Nelder-Mead polish
-of the 8 leading points over those same angles.  The grid runs through the
-same batched kernel as the library (``measurement.postselected_amplitudes``
-and the moduli-to-V/P/C formula), but only to pick the leading grid points.
-The polish and the value it returns go through ``oracle_evolve``,
-``project_oracle`` (a sequential per-probe projection that shares no helper
-with the batched kernel) and ``complementarity.triple``, so an error in the
-shared kernel cannot reach it.  The value and the angles are returned as
-Python floats; the angles are the canonical ones (``canonical_angles``) at
-which the value was computed.
+P = 1 sits there).  With 15 degree steps that gives a grid of 7 points at
+n = 1 and 7 x 7 x 24 = 1,176 at n = 2, then a compass search from each of the
+8 leading points over those same angles.  Every value, on the grid and in the
+search, goes through one route: ``oracle_evolve``, ``project_oracle`` (a
+sequential per-probe projection that shares no helper with
+``gamma_coefficients``) and ``complementarity.triple``, so an error in the
+library's post-selection kernel cannot reach it.  The value and the angles are
+returned as Python floats; the angles are the canonical ones
+(``canonical_angles``) at which the value was computed.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .collisions import CouplingConfig, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
 from .errors import DegenerateOutcomeError, DomainError
 from .measurement import (
-    DEGENERATE_PROBABILITY, MeasurementBasis, _complementarity_from_moduli,
-    complementarity_after, gamma_coefficients, postselected_amplitudes, project_oracle,
+    MeasurementBasis, complementarity_after, gamma_coefficients, project_oracle,
 )
 
 #: candidate optima whose values lie within this of the best are ties
@@ -106,74 +103,67 @@ def curve(cfg: CouplingConfig, objective: Objective, n_max: int) -> list[Optimiz
     return [maximize(cfg, n, objective) for n in range(1, n_max + 1)]
 
 
-#: grid spacing in degrees of theta and phi, by n
-_REFERENCE_STEPS_DEG = {1: 1.0, 2: 6.0}
-#: leading grid points polished by Nelder-Mead
+#: grid spacing of every free angle in degrees; it must divide 90 so that
+#: theta = pi/2, where P = 1 sits, lies on the grid
+_REFERENCE_STEP_DEG = 15.0
+#: leading grid points polished by the compass search
 _POLISHED = 8
+#: the compass search stops once its step falls below this many radians
+_POLISH_STOP = 1e-9
 
 
 def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
-    """Exhaustive reference optimum for small n: dense angle grid plus
-    Nelder-Mead polish of the leading grid points.
+    """Exhaustive reference optimum for small n: an angle grid plus a compass
+    search from each of the leading grid points.
 
     A phase common to all probes changes no |gamma|, so phi_1 is fixed at 0:
     the grid and the polish run over the 2n - 1 free angles theta_1..theta_n,
     phi_2..phi_n.  (pi - theta, phi + pi) only flips the sign of a probe's
-    vector, so the theta axes cover [0, pi/2] (91 points at n = 1, 15,360 at
-    n = 2).  The grid ranks bases with the shared post-selection kernel; the
-    returned value is recomputed at the returned angles through the
+    vector, so the theta axes cover [0, pi/2] (7 points at n = 1, 1,176 at
+    n = 2).  Every value, on the grid and in the polish, comes from the
     sequential-collision state, the direct projection route and the
-    pure-state formulas, so it is independent of both the kernel and the
-    closed form in ``maximize``.  Supports n <= 2.  Returns (value, angles)
-    with angles as n canonical (theta, phi) pairs in [0, pi) x [0, 2 pi).
+    pure-state formulas, so it is independent of both the post-selection
+    kernel and the closed form in ``maximize``.  Supports n <= 2.  Returns
+    (value, angles) with angles as n canonical (theta, phi) pairs in
+    [0, pi) x [0, 2 pi).
     """
     cfg.check_n(n)
-    if n and n not in _REFERENCE_STEPS_DEG:
+    if n > 2:
         raise DomainError(f"grid reference supports n <= 2, got n={n}")
     state = oracle_evolve(cfg, n)
 
-    def basis(free: list) -> MeasurementBasis:
+    def basis(free: tuple) -> MeasurementBasis:
         return MeasurementBasis.from_angles(zip(free[:n], (0.0, *free[n:])))
 
-    def negated(free: np.ndarray) -> float:
+    def value(free: tuple) -> float:
         try:
-            pure, _ = project_oracle(state, basis(free.tolist()))
+            pure, _ = project_oracle(state, basis(free))
         except DegenerateOutcomeError:
-            return 1e6
-        return -objective_value(pure_triple(pure), objective)
+            return -math.inf
+        return objective_value(pure_triple(pure), objective)
 
-    if n == 0:
-        return -negated(np.empty(0)), ()
-    step = math.radians(_REFERENCE_STEPS_DEG[n])
+    step = math.radians(_REFERENCE_STEP_DEG)
+
+    def polish(free: tuple) -> tuple[float, tuple]:
+        # compass search: it accepts only improvements, so it never ends below its start
+        best, h = value(free), step
+        while h >= _POLISH_STOP:
+            for i, move in itertools.product(range(len(free)), (h, -h)):
+                trial = free[:i] + (free[i] + move,) + free[i + 1:]
+                trial_value = value(trial)
+                if trial_value > best:
+                    free, best = trial, trial_value
+                    break
+            else:
+                h /= 2.0
+        return best, free
+
+    per_right_angle = round(90.0 / _REFERENCE_STEP_DEG)
     # (theta, phi) and (pi - theta, phi + pi) are the same projector up to sign
-    axes = [np.arange(0.0, math.pi / 2.0 + 1e-12, step)] * n
-    axes += [np.arange(0.0, 2.0 * math.pi - 1e-12, step)] * (n - 1)
-    # one row of free angles per grid point
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * n - 1)
-    phases = np.concatenate([np.zeros((grid.shape[0], 1)), grid[:, n:]], axis=1)
-    amplitudes = postselected_amplitudes(
-        cfg.a, cfg.b, np.cos(grid[:, :n]), np.sin(grid[:, :n]) * np.exp(1j * phases)
-    )
-    m1, m2, m3 = (np.abs(g) ** 2 for g in amplitudes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v, p, c = _complementarity_from_moduli(m1, m2, m3)
-    vals = objective_value(ComplementarityTriple(v, p, c, math.nan), objective)
-    vals = np.where(m1 + m2 + m3 < DEGENERATE_PROBABILITY, -np.inf, vals)
-
-    from scipy.optimize import minimize
-
-    # Nelder-Mead keeps its best vertex, so no polish ends below its grid start
-    best = min(
-        (
-            minimize(
-                negated,
-                grid[j],
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 6000},
-            )
-            for j in np.argpartition(vals, -_POLISHED)[-_POLISHED:]
-        ),
-        key=lambda res: res.fun,
-    )
-    # the canonical angles are exactly the ones negated evaluated
-    return -float(best.fun), basis(best.x.tolist()).angles
+    thetas = [i * step for i in range(per_right_angle + 1)]
+    phis = [i * step for i in range(4 * per_right_angle)]
+    # at n = 0 the product over no axes yields one point, the empty one
+    grid = itertools.product(*[thetas] * n, *[phis] * (n - 1))
+    best, free = max(map(polish, heapq.nlargest(_POLISHED, grid, key=value)), key=lambda r: r[0])
+    # the canonical angles are exactly the ones value evaluated
+    return best, basis(free).angles

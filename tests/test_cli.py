@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complement_opt import Objective, cli, verify
+from complement_opt import (
+    MeasurementBasis,
+    Objective,
+    OptimizationResult,
+    cli,
+    complementarity_after,
+    gamma_coefficients,
+    verify,
+)
 from complement_opt.cli import FIELDS, main
 from complement_opt.experiments import EXPERIMENTS, PRESETS
 from helpers import package_env
@@ -51,6 +59,18 @@ class TestRunCommand:
         lines = (tmp_path / "table" / "table.csv").read_text().splitlines()
         assert lines[0].startswith("objective,preset,n,")
         assert len(lines) == 1 + 18  # six cells at each of n = 1, 2, 10
+
+    @pytest.mark.parametrize("args, csv", [
+        (("--experiment", "table", "--preset", "weak", "--objective", "concurrence"),
+         "table/table.csv"),
+        (("--experiment", "continuous-limit", "--preset", "strong"),
+         "continuous-limit/continuous-limit.csv"),
+        (("--experiment", "distinguishability", "--preset", "strong", "--objective", "visibility"),
+         "distinguishability/strong.csv"),
+    ])
+    def test_file_named_after_the_fields_the_study_reads(self, tmp_path, args, csv):
+        assert run_cli("run", *args, "--out", str(tmp_path)) == 0
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv")] == [csv]
 
     def test_determinism_byte_identical(self, tmp_path):
         args = [
@@ -354,6 +374,25 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         closure = next(line for line in lines if line.startswith("closure-after-measurement"))
         assert closure.split()[1] == "FAIL"
+
+    def test_optimizer_check_fails_on_a_suboptimal_basis(self, monkeypatch):
+        # negative control: theta_1 = 0 for P is the paper's suboptimal state,
+        # P = (1-s)/(1+s) ~ 0.982 against P* = 1 at (strong, n = 2)
+        exact = verify.maximize
+
+        def theta_zero(cfg, n, objective):
+            if objective is not Objective.PREDICTABILITY:
+                return exact(cfg, n, objective)
+            basis = MeasurementBasis.uniform(0.0, 0.0, n)
+            gt = gamma_coefficients(cfg, basis, n)
+            return OptimizationResult(
+                objective, n, basis, complementarity_after(gt), gt.outcome_probability
+            )
+
+        monkeypatch.setattr(verify, "maximize", theta_zero)
+        result = verify._optimizer_check()
+        assert not result.passed
+        assert float(result.detail.rsplit("= ", 1)[1]) > 1e-2
 
     def test_verify_deterministic_report(self, capsys):
         run_cli("verify", "--samples", "40", "--seed", "3")
