@@ -22,7 +22,7 @@ def main():
     print("state                              V        P        C        V2+P2+C2")
     print("-" * 78)
     for label, state in SHOWCASE:
-        amps = state.amplitudes()
+        amps = np.array([state.c00, state.c01, state.c10, state.c11], dtype=complex)
         state = TwoQubitPure(*(amps / np.linalg.norm(amps)))
         t = triple(state)
         print(f"{label:<34} {t.V:.5f}  {t.P:.5f}  {t.C:.5f}  {1.0 + t.closure_residual:.9f}")

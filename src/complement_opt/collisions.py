@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, RangeError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -88,24 +86,24 @@ def make_config(g: float, T: float, N_total: int) -> CouplingConfig:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExcitationState:
     """Pure global state after ``n`` collisions, single-excitation sector.
 
     amp_b   amplitude of |0_A> |0...0> |1_B>   (excitation still on B)
-    amp_r   amp_r[i-1] is the amplitude of the excitation sitting on probe i
+    amp_r   tuple; amp_r[i-1] is the amplitude of the excitation on probe i
     amp_a   amplitude of |1_A> |0...0> |0_B>   (excitation on A, untouched)
     """
 
     n: int
     amp_b: complex
-    amp_r: np.ndarray
+    amp_r: tuple[complex, ...]
     amp_a: complex
 
     def norm_sq(self) -> float:
         return (
             abs(self.amp_b) ** 2
-            + float(np.sum(np.abs(self.amp_r) ** 2))
+            + sum(abs(x) ** 2 for x in self.amp_r)
             + abs(self.amp_a) ** 2
         )
 
@@ -113,11 +111,10 @@ class ExcitationState:
 def evolve_closed_form(cfg: CouplingConfig, n: int) -> ExcitationState:
     """State after n collisions: amp_b = a^n/sqrt2, amp_r[i] = a^(i-1) b/sqrt2."""
     cfg.check_n(n)
-    powers = cfg.a ** np.arange(n)
     return ExcitationState(
         n=n,
         amp_b=cfg.a ** n * _SQRT1_2,
-        amp_r=powers * cfg.b * _SQRT1_2,
+        amp_r=tuple(cfg.a ** i * cfg.b * _SQRT1_2 for i in range(n)),
         amp_a=_SQRT1_2,
     )
 
@@ -130,13 +127,13 @@ def oracle_evolve(cfg: CouplingConfig, n: int) -> ExcitationState:
     """
     cfg.check_n(n)
     amp_b = complex(_SQRT1_2)
-    amp_r = np.zeros(n, dtype=complex)
+    amp_r = [0j] * n
     for i in range(n):
         amp_b, amp_r[i] = (
             cfg.a * amp_b + cfg.b * amp_r[i],
             cfg.b * amp_b + cfg.a * amp_r[i],
         )
-    return ExcitationState(n=n, amp_b=amp_b, amp_r=amp_r, amp_a=_SQRT1_2)
+    return ExcitationState(n=n, amp_b=amp_b, amp_r=tuple(amp_r), amp_a=_SQRT1_2)
 
 
 def distinguishability_ab(cfg: CouplingConfig, n: int) -> float:

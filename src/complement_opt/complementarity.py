@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NormalizationError
 
 #: inputs whose norm deviates from 1 by more than this raise NormalizationError;
@@ -37,9 +35,6 @@ class TwoQubitPure:
     c01: complex
     c10: complex
     c11: complex = 0.0
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.c00, self.c01, self.c10, self.c11], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from . import __version__
 from .collisions import (
     CouplingConfig,
@@ -111,7 +109,7 @@ def run_quantity_vs_n(
     for result in curve(cfg, objective, n_max):
         t = result.achieved
         reservoir_C = reservoir_limit_concurrence(k, result.n * cfg.dt)
-        angles = tuple(float(x) for pair in result.basis.angles for x in pair)
+        angles = tuple(x for pair in result.basis.angles for x in pair)
         rows.append(
             CurveRecord(result.n, t.V, t.P, t.C, reservoir_C, result.outcome_probability, angles)
         )
@@ -128,7 +126,9 @@ def run_uniform_sweep(
     NaN V, P and C.  A generator: ``cfg.check_n(n_max)`` runs at the first row.
     """
     cfg.check_n(n_max)
-    thetas = np.linspace(0.0, math.pi, theta_steps + 1).tolist()
+    # theta_steps equal intervals; the last point is pi exactly, not theta_steps * step
+    step = math.pi / theta_steps
+    thetas = [i * step for i in range(theta_steps)] + [math.pi]
     for n in range(1, n_max + 1):
         for theta in thetas:
             try:
@@ -180,7 +180,7 @@ def _canonical_phase(c00: complex, c01: complex, c10: complex) -> tuple[complex,
     """
     for ref in (c10, c00, c01):
         if abs(ref) > 1e-6:
-            rot = np.conj(ref) / abs(ref)
+            rot = ref.conjugate() / abs(ref)
             return c00 * rot, c01 * rot, c10 * rot
     return c00, c01, c10
 
@@ -198,7 +198,7 @@ def run_table_states() -> list[TableStateRow]:
                 c00, c01, c10 = _canonical_phase(state.c00, state.c01, state.c10)
                 achieved = objective_value(result.achieved, objective)
                 rows.append(TableStateRow(
-                    objective.value, preset, n, complex(c00), complex(c01), complex(c10),
+                    objective.value, preset, n, c00, c01, c10,
                     achieved, result.outcome_probability,
                 ))
     return rows
@@ -367,7 +367,6 @@ def run_experiment(
         **recorded,
         "versions": {
             "complement_opt": __version__,
-            "numpy": np.__version__,
             "python": platform.python_version(),
         },
         "wall_time_s": wall,

@@ -31,11 +31,11 @@ everywhere.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .collisions import CouplingConfig, ExcitationState, distinguishability_ab
 from .complementarity import ComplementarityTriple, TwoQubitPure
@@ -88,22 +88,6 @@ class MeasurementBasis:
     def __len__(self) -> int:
         return len(self.angles)
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([t for t, _ in self.angles], dtype=float)
-
-    @property
-    def phis(self) -> np.ndarray:
-        return np.array([p for _, p in self.angles], dtype=float)
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.cos(self.thetas)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return np.exp(1j * self.phis) * np.sin(self.thetas)
-
 
 @dataclass(frozen=True)
 class GammaTriple:
@@ -128,15 +112,15 @@ def _make_gamma(g1: complex, g2: complex, g3: complex) -> GammaTriple:
     norm_sq = abs(g1) ** 2 + abs(g2) ** 2 + abs(g3) ** 2
     _check_possible(norm_sq)
     # positional: a frozen dataclass takes keywords measurably slower per record
-    return GammaTriple(complex(g1), complex(g2), complex(g3), float(norm_sq))
+    return GammaTriple(complex(g1), complex(g2), complex(g3), norm_sq)
 
 
-def _exclusive_products(alpha: np.ndarray) -> np.ndarray:
+def _exclusive_products(alpha: Sequence[float]) -> list[float]:
     """Product of all entries of alpha except the own one (for an empty alpha
-    a single 1, which broadcasts away against the other empty operands)."""
-    pre = np.concatenate([[1.0], np.cumprod(alpha[:-1])])
-    suf = np.concatenate([np.cumprod(alpha[:0:-1])[::-1], [1.0]])
-    return pre * suf
+    a single 1, which zip drops against the other empty operands)."""
+    pre = itertools.accumulate(alpha[:-1], operator.mul, initial=1.0)
+    suf = list(itertools.accumulate(reversed(alpha[1:]), operator.mul, initial=1.0))
+    return [p * q for p, q in zip(pre, reversed(suf))]
 
 
 def _complementarity_from_moduli(m1: float, m2: float, m3: float):
@@ -158,10 +142,14 @@ def gamma_coefficients(
         raise RangeError(
             f"basis supplies {len(basis)} angle pairs but n={n} probes are measured"
         )
-    alpha, beta = basis.alphas, basis.betas
-    g3 = _SQRT1_2 * np.prod(alpha)
+    alpha = [math.cos(theta) for theta, _ in basis.angles]
+    beta = [complex(math.cos(phi), math.sin(phi)) * math.sin(theta) for theta, phi in basis.angles]
+    g3 = _SQRT1_2 * math.prod(alpha)
     g2 = cfg.a ** n * g3
-    g1 = cfg.b * _SQRT1_2 * np.sum(cfg.a ** np.arange(n) * beta * _exclusive_products(alpha))
+    g1 = cfg.b * _SQRT1_2 * sum(
+        cfg.a ** i * b * rest
+        for i, (b, rest) in enumerate(zip(beta, _exclusive_products(alpha)))
+    )
     return _make_gamma(g1, g2, g3)
 
 
@@ -184,7 +172,7 @@ def project_oracle(
         )
     c00 = 0j
     prod_alpha = 1.0  # alpha_j of the probes projected so far
-    for (theta, phi), amp in zip(basis.angles, state.amp_r.tolist()):
+    for (theta, phi), amp in zip(basis.angles, state.amp_r):
         alpha = math.cos(theta)
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
         c00 = alpha * c00 + beta * amp * prod_alpha

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .collisions import CouplingConfig, oracle_evolve
+from .collisions import CouplingConfig, distinguishability_ab, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
 from .errors import DegenerateOutcomeError, DomainError
 from .measurement import (
@@ -81,7 +81,7 @@ def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationR
     if cfg.b == 0 or objective is Objective.CONCURRENCE:
         thetas = (0.0,)
     elif objective is Objective.VISIBILITY:
-        thetas = (math.atan2(math.sqrt(1.0 + cfg.a ** (2 * n)), abs(cfg.b)),)
+        thetas = (math.atan2(math.sqrt(1.0 + distinguishability_ab(cfg, n)), abs(cfg.b)),)
     else:
         thetas = (math.pi / 2.0, 0.0)
     candidates = []

@@ -71,6 +71,11 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
 
+def amplitudes(state: TwoQubitPure) -> np.ndarray:
+    """The four amplitudes of a pure pair as an array, |00>, |01>, |10>, |11> order."""
+    return np.array([state.c00, state.c01, state.c10, state.c11], dtype=complex)
+
+
 def random_pure_pair(rng: np.random.Generator) -> TwoQubitPure:
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)

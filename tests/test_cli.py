@@ -394,6 +394,26 @@ class TestVerifyCommand:
         assert not result.passed
         assert float(result.detail.rsplit("= ", 1)[1]) > 1e-2
 
+    def test_evolution_check_fails_on_a_scaled_probe_amplitude(self, monkeypatch):
+        # negative control: the gap must reach every probe amplitude, the last included
+        exact = verify.oracle_evolve
+
+        def scaled(cfg, n):
+            state = exact(cfg, n)
+            if not n:
+                return state
+            return dataclasses.replace(state, amp_r=(*state.amp_r[:-1], 1.001 * state.amp_r[-1]))
+
+        monkeypatch.setattr(verify, "oracle_evolve", scaled)
+        assert not verify._evolution_check(0).passed
+
+    def test_budget_check_fails_on_a_scaled_probe_share(self, monkeypatch):
+        exact = verify.per_qubit_distinguishability
+        monkeypatch.setattr(
+            verify, "per_qubit_distinguishability", lambda cfg, i: 1.001 * exact(cfg, i)
+        )
+        assert not verify._budget_check().passed
+
     def test_verify_deterministic_report(self, capsys):
         run_cli("verify", "--samples", "40", "--seed", "3")
         first = capsys.readouterr().out

@@ -7,11 +7,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from complement_opt import ConfigError, DomainError, Objective, experiments, make_config
+from complement_opt import (
+    ConfigError,
+    DomainError,
+    Objective,
+    experiments,
+    gamma_coefficients,
+    make_config,
+    maximize,
+    postselected_state,
+)
 from complement_opt.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     PRESETS,
+    TABLE_NS,
     TableStateRow,
     preset_config,
     run_continuous_limit_convergence,
@@ -177,6 +187,25 @@ class TestTableStates:
             assert reference.real >= 0.0
             norm = abs(row.c00) ** 2 + abs(row.c01) ** 2 + abs(row.c10) ** 2
             assert norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_canonical_phase_leaves_a_canonical_state_untouched(self):
+        # a real, positive reference needs a rotation of exactly 1
+        def bits(amps):
+            return [(z.real.hex(), z.imag.hex()) for z in amps]
+
+        untouched = 0
+        for objective in Objective:
+            for preset in PRESETS:
+                cfg = preset_config(preset)
+                for n in TABLE_NS:
+                    basis = maximize(cfg, n, objective).basis
+                    state = postselected_state(gamma_coefficients(cfg, basis, n))
+                    amps = (state.c00, state.c01, state.c10)
+                    reference = next(c for c in (state.c10, state.c00, state.c01) if abs(c) > 1e-6)
+                    if reference.imag == 0.0 and reference.real > 0.0:
+                        assert bits(experiments._canonical_phase(*amps)) == bits(amps)
+                        untouched += 1
+        assert untouched == 13
 
     def test_cells_cover_objectives_and_presets(self):
         rows = run_table_states()
