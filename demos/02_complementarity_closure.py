@@ -2,8 +2,7 @@
 """Visibility, predictability and concurrence of pure two-qubit states, and
 the closure identity V^2 + P^2 + C^2 = 1 that ties them together."""
 import math
-
-import numpy as np
+import random
 
 from complement_opt import TwoQubitPure, triple
 
@@ -18,20 +17,24 @@ SHOWCASE = [
 ]
 
 
+def normalized(amps):
+    """The pure pair with amplitudes ``amps`` (|00>, |01>, |10>, |11>) scaled to unit norm."""
+    norm = math.sqrt(sum(abs(x) ** 2 for x in amps))
+    return TwoQubitPure(*(x / norm for x in amps))
+
+
 def main():
     print("state                              V        P        C        V2+P2+C2")
     print("-" * 78)
     for label, state in SHOWCASE:
-        amps = np.array([state.c00, state.c01, state.c10, state.c11], dtype=complex)
-        state = TwoQubitPure(*(amps / np.linalg.norm(amps)))
+        state = normalized([state.c00, state.c01, state.c10, state.c11])
         t = triple(state)
         print(f"{label:<34} {t.V:.5f}  {t.P:.5f}  {t.C:.5f}  {1.0 + t.closure_residual:.9f}")
 
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     worst = 0.0
     for _ in range(2000):
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        t = triple(TwoQubitPure(*(amps / np.linalg.norm(amps))))
+        t = triple(normalized([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(4)]))
         worst = max(worst, abs(t.closure_residual))
     print("-" * 78)
     print(f"closure residual over 2000 random pure states: max {worst:.3e}")

@@ -7,8 +7,7 @@ projection of the collision state, the shared-basis shortcut, and how outcome
 probabilities add up over a complete set of measurement records.
 """
 import math
-
-import numpy as np
+import random
 
 from complement_opt import (
     MeasurementBasis,
@@ -26,15 +25,18 @@ def separator(title):
     print(f"\n{'=' * 64}\n  {title}\n{'=' * 64}")
 
 
+def random_angles(rng, n):
+    """n (theta, phi) pairs, theta uniform in [0, pi) and phi in [0, 2 pi)."""
+    return [(math.pi * rng.random(), 2 * math.pi * rng.random()) for _ in range(n)]
+
+
 def main():
     cfg = make_config(g=4.0, T=2.0 * math.pi, N_total=20)
     n = 4
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
 
     separator("POST-SELECTED PAIR STATE, RANDOM BASIS")
-    basis = MeasurementBasis.from_angles(
-        zip(rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n))
-    )
+    basis = MeasurementBasis.from_angles(random_angles(rng, n))
     gt = gamma_coefficients(cfg, basis, n)
     state = postselected_state(gt)
     print(f"  angles (theta, phi): {[(round(t, 3), round(p, 3)) for t, p in basis.angles]}")
@@ -61,7 +63,7 @@ def main():
         print(f"  {frac:5.2f}    {t.V:.5f}  {t.P:.5f}  {t.C:.5f}  {gt.outcome_probability:.6f}")
 
     separator("PROBABILITIES OVER A COMPLETE OUTCOME SET")
-    pairs = list(zip(rng.uniform(0, math.pi, 3), rng.uniform(0, 2 * math.pi, 3)))
+    pairs = random_angles(rng, 3)
     state3 = oracle_evolve(cfg, 3)
     total = 0.0
     for bits in range(8):

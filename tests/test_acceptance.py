@@ -5,6 +5,7 @@ Each test prints one ``[acceptance] Cxx name: PASS/FAIL`` line (visible with
 still reports the full scoreboard.
 """
 import math
+import random
 import time
 
 import numpy as np
@@ -43,7 +44,7 @@ def _report(cid: str, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_c01_closure_after_measurement():
-    rng = np.random.default_rng(101)
+    rng = random.Random(101)
     started = time.perf_counter()
     worst = 0.0
     evaluated = 0
@@ -64,7 +65,7 @@ def test_c01_closure_after_measurement():
 
 
 def test_c02_postselection_dual_route():
-    rng = np.random.default_rng(102)
+    rng = random.Random(102)
     started = time.perf_counter()
     worst = 0.0
     evaluated = 0

@@ -1,4 +1,5 @@
-"""The package imports exactly the third-party modules it declares."""
+"""The package and the demos import no third-party module; the tests import
+exactly the ones the ``test`` extra declares."""
 import ast
 import re
 import subprocess
@@ -12,57 +13,43 @@ from helpers import SRC, package_env
 
 tomllib = pytest.importorskip("tomllib")
 
-PACKAGE = SRC / "complement_opt"
-PYPROJECT = SRC.parent / "pyproject.toml"
+REPO = SRC.parent
+TESTS = Path(__file__).resolve().parent
 
 
-def third_party_by_module() -> dict[str, set[str]]:
-    """Top-level modules each package module imports, function bodies
-    included, that are neither the standard library nor the package itself;
-    a module importing none is left out."""
-    found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
-        names -= set(sys.stdlib_module_names) | {"complement_opt"}
-        if names:
-            found[path.name] = names
-    return found
+def third_party_imports(path: Path, local: set[str] = frozenset()) -> set[str]:
+    """Top-level modules ``path`` imports, function bodies included, that are
+    neither the standard library, the package itself nor one of ``local``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"complement_opt"} - local
 
 
-def imported_third_party() -> set[str]:
-    return set().union(*third_party_by_module().values())
-
-
-def declared_dependencies() -> set[str]:
-    with PYPROJECT.open("rb") as handle:
-        requirements = tomllib.load(handle)["project"]["dependencies"]
+def declared(requirements: list[str]) -> set[str]:
     return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in requirements}
 
 
+def project_table() -> dict:
+    with (REPO / "pyproject.toml").open("rb") as handle:
+        return tomllib.load(handle)["project"]
+
+
 def test_imports_match_declared_dependencies():
-    assert imported_third_party() == declared_dependencies() == {"numpy"}
+    files = [*(SRC / "complement_opt").glob("*.py"), *(REPO / "demos").glob("*.py")]
+    found = {path.name: third_party_imports(path) for path in files}
+    assert set().union(*found.values()) == declared(project_table()["dependencies"]) == set(), found
 
 
-def test_verify_imports_no_scipy():
-    code = (
-        "import sys\n"
-        "from complement_opt.cli import main\n"
-        "assert main(['verify', '--samples', '20']) == 0\n"
-        "sys.exit('scipy' in sys.modules)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=package_env()
-    )
-    assert result.returncode == 0, result.stderr
-
-
-def test_numpy_is_imported_by_verify_only():
-    assert third_party_by_module() == {"verify.py": {"numpy"}}
+def test_test_imports_match_the_test_extra():
+    files = sorted(TESTS.glob("*.py"))
+    local = {path.stem for path in files}
+    imported = set().union(*(third_party_imports(path, local) for path in files))
+    extra = declared(project_table()["optional-dependencies"]["test"])
+    assert imported == extra == {"numpy", "pytest", "hypothesis"}
 
 
 def test_run_leaves_numpy_unloaded(tmp_path):
@@ -82,9 +69,9 @@ def test_run_leaves_numpy_unloaded(tmp_path):
         "from complement_opt.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        "assert 'numpy' not in sys.modules, 'a run loaded numpy'\n"
         "assert main(['verify', '--samples', '5']) == 0\n"
-        "assert 'numpy' in sys.modules, 'verify drew no sample'\n"
+        "loaded = {'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert not loaded, f'run or verify loaded {loaded}'\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=package_env()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestMakeConfig:
         assert cfg.k == 0.0
 
     def test_unitarity_random(self):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for _ in range(100):
             cfg, _ = random_coupling(rng)
             assert abs(abs(cfg.a) ** 2 + abs(cfg.b) ** 2 - 1.0) <= 1e-14
@@ -116,7 +117,7 @@ class TestEvolution:
         assert abs(state.amp_r[0]) ** 2 == pytest.approx(0.5, abs=1e-4)
 
     def test_norm_conservation_random(self):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         for _ in range(100):
             cfg, n = random_coupling(rng)
             assert abs(evolve_closed_form(cfg, n).norm_sq() - 1.0) <= 1e-12
@@ -133,7 +134,7 @@ class TestEvolution:
                 )
 
     def test_oracle_equivalence_200_random(self):
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         for _ in range(200):
             cfg, n = random_coupling(rng)
             closed = evolve_closed_form(cfg, n)
@@ -166,7 +167,7 @@ class TestPairDistinguishability:
         assert all(distinguishability_ab(cfg, n) == 1.0 for n in range(7))
 
     def test_trace_norm_oracle_random(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         for _ in range(50):
             cfg, n = random_coupling(rng)
             oracle = trace_norm_pair_distinguishability(oracle_evolve(cfg, n))

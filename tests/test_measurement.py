@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestGammaCoefficients:
         assert gt.gamma3 == pytest.approx(SQRT1_2)
 
     def test_dual_route_random(self):
-        rng = np.random.default_rng(21)
+        rng = random.Random(21)
         for _ in range(150):
             cfg, n = random_coupling(rng, n_cap=8)
             basis = random_basis(rng, n)
@@ -132,7 +133,7 @@ def assert_matches_dense(state, basis):
 
 class TestProjectOracle:
     def test_matches_dense_state_vector(self):
-        rng = np.random.default_rng(24)
+        rng = random.Random(24)
         for _ in range(80):
             cfg, n = random_coupling(rng, n_cap=6)
             assert_matches_dense(oracle_evolve(cfg, n), random_basis(rng, n))
@@ -140,7 +141,7 @@ class TestProjectOracle:
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_probes_at_theta_pi_over_2(self, strong, n):
         # one such probe leaves a possible record, two leave an impossible one
-        rng = np.random.default_rng(25 + n)
+        rng = random.Random(25 + n)
         angles = list(random_basis(rng, n).angles)
         state = oracle_evolve(strong, n)
         angles[-1] = (math.pi / 2.0, angles[-1][1])
@@ -199,7 +200,7 @@ class TestProbabilityAccounting:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_bounds_random(self):
-        rng = np.random.default_rng(24)
+        rng = random.Random(24)
         for _ in range(100):
             cfg, n = random_coupling(rng, n_cap=10)
             try:
@@ -222,7 +223,7 @@ class TestUniformGamma:
         for cfg in (strong, weak):
             cases = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(12)]
             for theta, phi in cases + near_edges:
-                for n in (1, 2, 5):
+                for n in (0, 1, 2, 5):
                     try:
                         u = uniform_gamma(cfg, theta, phi, n)
                     except DegenerateOutcomeError:
@@ -271,7 +272,7 @@ class TestComplementarityAfter:
         assert t.V == pytest.approx(0.99, abs=0.01)
 
     def test_closure_random(self):
-        rng = np.random.default_rng(26)
+        rng = random.Random(26)
         for _ in range(300):
             cfg, n = random_coupling(rng, n_cap=12)
             try:
@@ -283,7 +284,7 @@ class TestComplementarityAfter:
     def test_matches_pure_state_route(self):
         from complement_opt import triple
 
-        rng = np.random.default_rng(27)
+        rng = random.Random(27)
         for _ in range(100):
             cfg, n = random_coupling(rng, n_cap=8)
             try:
@@ -333,7 +334,12 @@ class TestDeltaD:
         for v in np.linspace(0.0, 1.0, 21):
             assert -1.0 <= delta_d_total(float(v)) <= 0.0
 
-    @pytest.mark.parametrize("v", [-0.5, 1.5])
+    def test_total_dust_window(self):
+        # only float dust below 0 is read as V = 0; a small real V is kept
+        assert delta_d_total(5e-4) == pytest.approx(math.sqrt(1 - 2.5e-7) - 1, rel=1e-9)
+        assert delta_d_total(-5e-13) == 0.0
+
+    @pytest.mark.parametrize("v", [-0.5, 1.5, -2e-12, 1 + 2e-12])
     def test_total_domain_error(self, v):
         with pytest.raises(DomainError):
             delta_d_total(v)

@@ -1,7 +1,7 @@
 import math
+import random
 import sys
 
-import numpy as np
 import pytest
 
 from complement_opt import (
@@ -68,7 +68,7 @@ class TestMaximizeBasics:
             assert achieved >= complementarity_after(gt).V - 1e-9
 
     def test_dominates_random_bases(self, strong, weak):
-        rng = np.random.default_rng(17)
+        rng = random.Random(17)
         for cfg in (strong, weak):
             for n in (1, 2, 5):
                 for objective in Objective:
@@ -207,7 +207,7 @@ def oracle_objective(cfg, n, angles, objective):
 class TestGridReference:
     def test_common_phase_shift_changes_nothing(self):
         # the symmetry that lets the reference fix phi_1 = 0
-        rng = np.random.default_rng(23)
+        rng = random.Random(23)
         for _ in range(200):
             cfg, n = random_coupling(rng, n_cap=4)
             angles = random_basis(rng, n).angles
@@ -223,14 +223,14 @@ class TestGridReference:
     def test_half_period_changes_nothing(self):
         # the symmetry that lets the reference's theta axes stop at pi/2:
         # (pi - theta, phi + pi) flips the sign of the probe vector
-        rng = np.random.default_rng(29)
+        rng = random.Random(29)
         control_moved = 0.0
         for _ in range(200):
             cfg, n = random_coupling(rng, n_cap=4)
             if n == 0:
                 continue
             angles = random_basis(rng, n).angles
-            i = int(rng.integers(n))
+            i = rng.randrange(n)
             theta, phi = angles[i]
             mirrored = list(angles)
             mirrored[i] = (math.pi - theta, phi + math.pi)
