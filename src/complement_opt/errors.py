@@ -19,4 +19,4 @@ class NormalizationError(ValueError):
 
 
 class DegenerateOutcomeError(ValueError):
-    """Post-selection on an outcome of (numerically) zero probability."""
+    """Post-selection whose amplitudes have squared norm 0.0 and cannot be normalized."""

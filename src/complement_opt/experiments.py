@@ -28,7 +28,7 @@ from .collisions import (
     make_config,
     reservoir_limit_concurrence,
 )
-from .errors import ConfigError, DegenerateOutcomeError, DomainError
+from .errors import ConfigError, DomainError
 from .measurement import (
     complementarity_after,
     delta_d_pair,
@@ -122,8 +122,8 @@ def run_uniform_sweep(
     """(n, theta, V, P, C) for a shared measurement angle theta on a grid of
     ``theta_steps`` intervals over [0, pi], n = 1..n_max, n-major.
 
-    Impossible post-selections (for example theta = pi/2 with n >= 2) have
-    NaN V, P and C.  A generator: ``cfg.check_n(n_max)`` runs at the first row.
+    Every cell is filled, improbable records (theta near pi/2, n >= 2) too.
+    A generator: ``cfg.check_n(n_max)`` runs at the first row.
     """
     cfg.check_n(n_max)
     # theta_steps equal intervals; the last point is pi exactly, not theta_steps * step
@@ -131,12 +131,8 @@ def run_uniform_sweep(
     thetas = [i * step for i in range(theta_steps)] + [math.pi]
     for n in range(1, n_max + 1):
         for theta in thetas:
-            try:
-                t = complementarity_after(uniform_gamma(cfg, theta, phi, n))
-            except DegenerateOutcomeError:
-                yield n, theta, math.nan, math.nan, math.nan
-            else:
-                yield n, theta, t.V, t.P, t.C
+            t = complementarity_after(uniform_gamma(cfg, theta, phi, n))
+            yield n, theta, t.V, t.P, t.C
 
 
 def run_distinguishability_profile(cfg: CouplingConfig) -> list[tuple[int, float, float]]:
@@ -266,11 +262,11 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 
 def _fmt(x) -> str:
-    """The CSV cells of one value: NaN is empty, a float has 17 significant
-    digits, a complex is two cells (real, then imaginary), a tuple is one
+    """The CSV cells of one value: a float has 17 significant digits, a
+    complex is two cells (real, then imaginary), a tuple is one
     space-separated cell, anything else is ``str``."""
     if isinstance(x, float):
-        return "" if math.isnan(x) else f"{x:.17g}"
+        return f"{x:.17g}"
     if isinstance(x, complex):
         return f"{_fmt(x.real)},{_fmt(x.imag)}"
     if isinstance(x, tuple):
@@ -282,7 +278,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     """Write the CSV, creating its directory only once every row is computed."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        lines.append(",".join(map(_fmt, row)))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

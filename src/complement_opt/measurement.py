@@ -25,9 +25,9 @@ up even though the physics is regular.
 library's post-selection kernel.  ``project_oracle`` is the independent route:
 it projects the probes of a collision state one at a time, in order, in plain
 complex arithmetic, and shares no helper with the kernel, so a fault in the
-kernel shows up as a gap between the two routes.  A record whose outcome
-probability is below ``DEGENERATE_PROBABILITY`` counts as impossible
-everywhere.
+kernel shows up as a gap between the two routes.  A record is impossible,
+and raises ``DegenerateOutcomeError``, only when the squared norm of its
+amplitudes is exactly 0.0; an improbable record is evaluated like any other.
 """
 from __future__ import annotations
 
@@ -42,9 +42,6 @@ from .complementarity import ComplementarityTriple, TwoQubitPure
 from .errors import DegenerateOutcomeError, DomainError, RangeError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-#: post-selections with outcome probability below this are rejected as impossible
-DEGENERATE_PROBABILITY = 1e-28
 
 _TWO_PI = 2.0 * math.pi
 
@@ -91,8 +88,8 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class GammaTriple:
-    """Unnormalized post-selected pair amplitudes; their squared norm is the
-    outcome probability."""
+    """Unnormalized post-selected pair amplitudes, up to a common nonzero real
+    factor (1 for ``gamma_coefficients``), and the outcome probability."""
 
     gamma1: complex
     gamma2: complex
@@ -100,19 +97,19 @@ class GammaTriple:
     outcome_probability: float
 
 
-def _check_possible(prob: float) -> None:
-    if prob < DEGENERATE_PROBABILITY:
+def _check_possible(norm_sq: float) -> None:
+    if norm_sq == 0.0:
         raise DegenerateOutcomeError(
-            f"post-selected outcome has probability {prob:.3g}; "
-            "the measurement record is (numerically) impossible"
+            "the post-selected amplitudes have squared norm 0.0 and cannot be "
+            "normalized; the measurement record is impossible"
         )
 
 
-def _make_gamma(g1: complex, g2: complex, g3: complex) -> GammaTriple:
+def _make_gamma(g1: complex, g2: complex, g3: complex, scale: float = 1.0) -> GammaTriple:
     norm_sq = abs(g1) ** 2 + abs(g2) ** 2 + abs(g3) ** 2
     _check_possible(norm_sq)
     # positional: a frozen dataclass takes keywords measurably slower per record
-    return GammaTriple(complex(g1), complex(g2), complex(g3), norm_sq)
+    return GammaTriple(complex(g1), complex(g2), complex(g3), scale * norm_sq)
 
 
 def _exclusive_products(alpha: Sequence[float]) -> list[float]:
@@ -190,23 +187,21 @@ def uniform_gamma(
 ) -> GammaTriple:
     """Post-selected amplitudes when every probe is measured in the same basis.
 
-    The probe sum collapses to a geometric factor sum_{i=1..n} a^(i-1); the
-    a = 1 (zero-coupling) limit of that factor is n.  gamma1 carries
-    alpha^(n-1), so theta = pi/2 gives b*beta/sqrt(2) for n = 1 and vanishes
-    for n >= 2.
+    The probe sum collapses to a geometric factor G = sum_{i=1..n} a^(i-1)
+    (n when a = 1).  The factor alpha^(n-1) of every amplitude is divided out,
+    leaving (b beta G, a^n alpha, alpha)/sqrt(2) at probability (alpha^2)^(n-1)
+    times their squared norm; alpha = cos(theta) of a float is never 0.0
+    (cos(pi/2) is 6.1e-17), so they normalize even where the probability underflows.
     """
     cfg.check_n(n)
     theta, phi = canonical_angles(theta, phi)
     alpha = math.cos(theta)
     beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
-    g3 = _SQRT1_2 * alpha ** n
-    g2 = cfg.a ** n * g3
-    if n:
-        geometric = float(n) if cfg.a == 1.0 else (cfg.a ** n - 1.0) / (cfg.a - 1.0)
-        g1 = cfg.b * _SQRT1_2 * beta * alpha ** (n - 1) * geometric
-    else:
-        g1 = 0.0
-    return _make_gamma(g1, g2, g3)
+    geometric = float(n) if cfg.a == 1.0 else (cfg.a ** n - 1.0) / (cfg.a - 1.0)
+    g3 = _SQRT1_2 * alpha
+    return _make_gamma(
+        cfg.b * _SQRT1_2 * beta * geometric, cfg.a ** n * g3, g3, (alpha * alpha) ** (n - 1)
+    )
 
 
 def complementarity_after(gt: GammaTriple) -> ComplementarityTriple:
@@ -218,8 +213,8 @@ def complementarity_after(gt: GammaTriple) -> ComplementarityTriple:
 
 
 def postselected_state(gt: GammaTriple) -> TwoQubitPure:
-    """Normalized pair state (c00, c01, c10, 0) = (gamma1, gamma2, gamma3)/norm."""
-    norm = math.sqrt(gt.outcome_probability)
+    """Normalized pair state (c00, c01, c10, 0): the amplitudes over their own norm."""
+    norm = math.sqrt(abs(gt.gamma1) ** 2 + abs(gt.gamma2) ** 2 + abs(gt.gamma3) ** 2)
     return TwoQubitPure(gt.gamma1 / norm, gt.gamma2 / norm, gt.gamma3 / norm, 0.0)
 
 

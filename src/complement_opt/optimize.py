@@ -13,9 +13,11 @@ later probe at theta = 0 gives x = |b|^2 tan^2(theta_1), which spans [0, inf):
 
 Without coupling (b = 0) no basis changes the pair and theta_1 = 0 is used.
 The reported triple and outcome probability always come from
-``gamma_coefficients`` and ``complementarity_after``.  Below g*dt of about
-1e-14 the V* and P* records fall under ``DEGENERATE_PROBABILITY`` and
-``maximize`` raises ``DegenerateOutcomeError``.
+``gamma_coefficients`` and ``complementarity_after``.  The V and P optima sit
+at or within about g*dt of theta_1 = pi/2, which float angles resolve only to
+about 1e-16, so ``maximize`` raises ``DomainError`` when its best V or P falls
+more than ``TIE_TOLERANCE`` short of the closed form (at n = 1 from g*dt = 1e-12
+down).
 
 ``grid_reference_maximum`` is the independent exhaustive reference that checks
 the closed form on small n.  A phase shared by all probes changes no |gamma|,
@@ -42,12 +44,12 @@ from enum import Enum
 
 from .collisions import CouplingConfig, distinguishability_ab, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
-from .errors import DegenerateOutcomeError, DomainError
+from .errors import DomainError
 from .measurement import (
     MeasurementBasis, complementarity_after, gamma_coefficients, project_oracle,
 )
 
-#: candidate optima whose values lie within this of the best are ties
+#: ties among candidate optima, and the most the best may fall short of its closed form
 TIE_TOLERANCE = 1e-9
 
 
@@ -76,14 +78,17 @@ def objective_value(t: ComplementarityTriple, objective: Objective) -> float:
 
 def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationResult:
     """Optimal measurement basis for the given quantity after n collisions; of
-    candidates within ``TIE_TOLERANCE`` of the best, the most probable wins."""
+    candidates within ``TIE_TOLERANCE`` of the best, the most probable wins, and
+    a best V or P more than that below its closed form raises ``DomainError``."""
     cfg.check_n(n)
-    if cfg.b == 0 or objective is Objective.CONCURRENCE:
+    optimum = None  # the closed form the best candidate must reach
+    if cfg.b == 0 or n == 0 or objective is Objective.CONCURRENCE:
         thetas = (0.0,)
     elif objective is Objective.VISIBILITY:
-        thetas = (math.atan2(math.sqrt(1.0 + distinguishability_ab(cfg, n)), abs(cfg.b)),)
+        root = math.sqrt(1.0 + distinguishability_ab(cfg, n))
+        thetas, optimum = (math.atan2(root, abs(cfg.b)),), 1.0 / root
     else:
-        thetas = (math.pi / 2.0, 0.0)
+        thetas, optimum = (math.pi / 2.0, 0.0), 1.0
     candidates = []
     for theta1 in thetas:
         basis = MeasurementBasis.from_angles((theta1 if i == 0 else 0.0, 0.0) for i in range(n))
@@ -91,6 +96,11 @@ def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationR
         achieved = complementarity_after(gt)
         candidates.append(OptimizationResult(objective, n, basis, achieved, gt.outcome_probability))
     best = max(objective_value(c.achieved, objective) for c in candidates)
+    if optimum is not None and best < optimum - TIE_TOLERANCE:
+        raise DomainError(
+            f"best {objective.value} {best!r} is short of the closed form {optimum!r}: float "
+            f"angles cannot resolve the optimal basis at g*dt = {cfg.g * cfg.dt:.3g}"
+        )
     return max(
         (c for c in candidates if objective_value(c.achieved, objective) >= best - TIE_TOLERANCE),
         key=lambda c: c.outcome_probability,
@@ -136,10 +146,8 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
         return MeasurementBasis.from_angles(zip(free[:n], (0.0, *free[n:])))
 
     def value(free: tuple) -> float:
-        try:
-            pure, _ = project_oracle(state, basis(free))
-        except DegenerateOutcomeError:
-            return -math.inf
+        # never impossible: with n <= 2, |c10|^2 = alpha_1^2 alpha_2^2 / 2 >= 7e-66
+        pure, _ = project_oracle(state, basis(free))
         return objective_value(pure_triple(pure), objective)
 
     step = math.radians(_REFERENCE_STEP_DEG)

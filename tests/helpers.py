@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,3 +93,28 @@ def package_env() -> dict:
 def orthogonal_pair_angles(theta: float, phi: float) -> tuple[float, float]:
     """Angles of the basis vector completing (theta, phi) to a full basis."""
     return math.pi / 2.0 - theta, phi + math.pi
+
+
+def exact_uniform_record(a: float, b_abs: float, theta: float, n: int) -> tuple[Fraction, ...]:
+    """(V^2, P, C^2, outcome probability) of n probes all projected at
+    (theta, phi = 0), in exact rational arithmetic.
+
+    The floats cos(theta), sin(theta), a and |b| are taken as the exact
+    rationals they represent, so nothing underflows however improbable the
+    record.  After n collisions probe i holds a^(i-1) b, qubit B a^n and qubit A
+    1 (times 1/sqrt(2), which only halves the probability; the phase of b is
+    common to all probe amplitudes and changes no modulus).  The probes are
+    projected one at a time, in order: probe i scales every branch in which it
+    holds no excitation by alpha and moves its own excitation, which carries
+    alpha of every earlier probe, into |0_A 0_B> with weight beta.
+    """
+    alpha, beta = Fraction(math.cos(theta)), Fraction(math.sin(theta))
+    a, b_abs = Fraction(a), Fraction(b_abs)
+    c00, prod_alpha, amp = Fraction(0), Fraction(1), b_abs
+    for _ in range(n):
+        c00 = alpha * c00 + beta * amp * prod_alpha
+        prod_alpha *= alpha
+        amp *= a
+    m1, m2, m3 = c00 * c00, (a ** n * prod_alpha) ** 2, prod_alpha * prod_alpha
+    total = m1 + m2 + m3
+    return 4 * m1 * m3 / total ** 2, abs(m3 - m1 - m2) / total, 4 * m2 * m3 / total ** 2, total / 2

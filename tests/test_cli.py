@@ -165,6 +165,16 @@ class TestValidation:
         assert code == 3
         assert "numeric domain error" in capsys.readouterr().err
 
+    def test_unrepresentable_optimum_exit_3(self, tmp_path, capsys):
+        # g * dt = 1e-13: the best float basis falls short of V* = 1/sqrt(1+s)
+        code = run_cli(
+            "run", "--experiment", "quantity-vs-n", "--g", "1e-13", "--T", "20",
+            "--N", "20", "--objective", "visibility", "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "closed form" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("g, T", [("0", "inf"), ("nan", "1"), ("inf", "1")])
     def test_non_finite_coupling_exit_3(self, tmp_path, capsys, g, T):
         code = run_cli(

@@ -33,6 +33,7 @@ from complement_opt.experiments import (
     run_uniform_sweep,
 )
 from complement_opt.collisions import continuous_limit_gap
+from helpers import exact_uniform_record
 
 
 class TestPresets:
@@ -97,12 +98,26 @@ class TestUniformSweep:
             assert sweep.V[i, 0] == pytest.approx(0.0, abs=1e-14)
             assert sweep.C[i, 0] == pytest.approx(2 * a_n / (1 + a_n * a_n), abs=1e-12)
 
-    def test_degenerate_cells_are_missing(self, strong):
+    def test_improbable_cells_are_filled(self, strong):
         sweep = _sweep(strong, 4, theta_steps=12)
         mid = 6  # theta = pi/2 exactly
         assert math.isclose(sweep.thetas[mid], math.pi / 2.0)
-        assert not np.isnan(sweep.V[0, mid])  # n = 1 stays regular
-        assert np.isnan(sweep.V[1:, mid]).all()
+        assert not np.isnan(sweep.V).any()
+        # every probe measured near |1>: the excitation is found on a probe
+        assert sweep.P[:, mid] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(sweep.V[:, mid] <= 1e-12)
+
+    def test_improbable_cells_match_exact_oracle(self):
+        # at n = 200 the records near theta = pi/2 have probabilities far
+        # below 1e-300; the rational oracle computes them without underflow
+        cfg = make_config(0.05, 2.0, 200)
+        sweep = _sweep(cfg, 200, theta_steps=90)
+        for j in (43, 45, 46):  # two steps below pi/2, pi/2, one step above
+            v2, p, c2, prob = exact_uniform_record(cfg.a, abs(cfg.b), sweep.thetas[j], 200)
+            assert prob < 1e-300
+            assert sweep.V[-1, j] ** 2 == pytest.approx(float(v2), abs=1e-12)
+            assert sweep.P[-1, j] == pytest.approx(float(p), abs=1e-12)
+            assert sweep.C[-1, j] ** 2 == pytest.approx(float(c2), abs=1e-12)
 
     def test_strong_quarter_pi_gives_high_visibility(self, strong):
         sweep = _sweep(strong, 18, theta_steps=12)
@@ -111,20 +126,15 @@ class TestUniformSweep:
         assert sweep.V[-1, quarter] >= 0.9
 
     def test_strong_near_pi_over_2_gives_high_predictability(self, strong):
-        # the n = 18 row has a missing band around pi/2 where the outcome
-        # probability underflows; the nearest recorded cells sit near P = 1
+        # the n = 18 records around pi/2 are improbable but recorded, near P = 1
         sweep = _sweep(strong, 18, theta_steps=60)
-        row = sweep.P[-1]
-        finite = np.flatnonzero(~np.isnan(row))
-        near = finite[np.argmin(np.abs(sweep.thetas[finite] - math.pi / 2.0))]
-        assert row[near] >= 0.9
+        assert math.isclose(sweep.thetas[30], math.pi / 2.0)
+        assert np.all(sweep.P[-1, 28:33] >= 0.9)  # within two steps of pi/2
 
     def test_recorded_cells_satisfy_closure(self, strong):
         sweep = _sweep(strong, 6, theta_steps=24)
         total = sweep.V**2 + sweep.P**2 + sweep.C**2
-        finite = ~np.isnan(total)
-        assert finite.any()
-        assert np.max(np.abs(total[finite] - 1.0)) <= 1e-10
+        assert np.max(np.abs(total - 1.0)) <= 1e-10
 
     def test_weak_theta_pi_sustains_entanglement(self, weak):
         sweep = _sweep(weak, 20, theta_steps=12)
@@ -259,14 +269,15 @@ class TestRunExperiment:
         first = lines[0].split(",")
         assert float(first[1]) == math.sin(0.4 * math.pi) ** 2
 
-    def test_missing_cells_serialize_empty(self, tmp_path, strong):
+    def test_no_cell_is_empty(self, tmp_path, strong):
         spec = ExperimentSpec(
             name="uniform-sweep", cfg=strong, preset="strong", n_max=3, theta_steps=12
         )
         paths = run_experiment(spec, out_dir=tmp_path)
         rows = [line.split(",") for line in paths["csv"].read_text().splitlines()[1:]]
-        degenerate = [r for r in rows if r[2] == ""]
-        assert degenerate, "expected empty cells at theta = pi/2 for n >= 2"
+        assert len(rows) == 3 * 13
+        # theta = pi/2 with n >= 2 included
+        assert all(len(r) == 5 and all(math.isfinite(float(x)) for x in r) for r in rows)
 
     def test_byte_identical_reruns(self, tmp_path, weak):
         spec = ExperimentSpec(

@@ -50,9 +50,9 @@ CSV_DIGESTS = {
     "quantity-vs-n/weak-predictability.csv": "1baa539fbfe2f63a01882060667c5bddb379b444be840e5b92abca49e50e2152",
     "quantity-vs-n/weak-visibility.csv": "d23a99beec7ebdd1c4b974a10fe526a30c632d6c16179653b5549c299cde3f6a",
     "table/table.csv": "60033e9791e0b983b9ccf796df2f244c4de2ecca7e612f8226a2bce45f582476",
-    "uniform-sweep/custom.csv": "a3932bdd788fb51d4e8c0279ad6d221d1611efe7a2a0ecea2146625a509d4f6e",
-    "uniform-sweep/strong.csv": "872f935517f406a971680e55f17fd44ed00458375a04ba91b32018d104aa14ce",
-    "uniform-sweep/weak.csv": "7f60357e91946dd7188d840b78df5804556826155b355a318f2976f38528ebae",
+    "uniform-sweep/custom.csv": "dbaba4ea987f2b5bb74ff2920cc0699fad762eaf9ac89d513f8cc722f17675b2",
+    "uniform-sweep/strong.csv": "f0bbfe953b63547cbdeb73e2df98201af8276715c2b3bcfdc1c73b583bc5266f",
+    "uniform-sweep/weak.csv": "5a1153f0ae1328d0f5c0beac37dd1d3de1dee3e1559472dd37ebfc48257e029c",
 }
 
 #: verify arguments -> (exit code, SHA-256 of the printed report).

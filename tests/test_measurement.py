@@ -25,7 +25,7 @@ from complement_opt import (
     project_oracle,
     uniform_gamma,
 )
-from complement_opt.measurement import DEGENERATE_PROBABILITY, canonical_angles
+from complement_opt.measurement import canonical_angles
 from helpers import dense_projection, orthogonal_pair_angles, random_basis, random_coupling
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -109,11 +109,23 @@ class TestGammaCoefficients:
             gamma_coefficients(strong, MeasurementBasis.uniform(0.1, 0.0, 3), 4)
 
     def test_degenerate_outcome(self, strong):
+        # two probes at theta = pi/2 leave an improbable record, which is
+        # evaluated; with twenty the squared norm of the amplitudes underflows
+        # to 0.0, the one case that cannot be normalized
         basis = MeasurementBasis.uniform(math.pi / 2.0, 0.0, 2)
+        gt = gamma_coefficients(strong, basis, 2)
+        pure, prob = project_oracle(oracle_evolve(strong, 2), basis)
+        assert 0.0 < gt.outcome_probability < 1e-30
+        assert prob == pytest.approx(gt.outcome_probability, rel=1e-12)
+        t = complementarity_after(gt)
+        assert t.P == pytest.approx(1.0, abs=1e-12)
+        assert abs(t.closure_residual) <= 1e-10
+        assert abs(pure.c00 - postselected_state(gt).c00) <= 1e-12
+        basis = MeasurementBasis.uniform(math.pi / 2.0, 0.0, 20)
         with pytest.raises(DegenerateOutcomeError):
-            gamma_coefficients(strong, basis, 2)
+            gamma_coefficients(strong, basis, 20)
         with pytest.raises(DegenerateOutcomeError):
-            project_oracle(oracle_evolve(strong, 2), basis)
+            project_oracle(oracle_evolve(strong, 20), basis)
 
     def test_theta_pi_over_2_single_probe_is_regular(self, strong):
         gt = gamma_coefficients(strong, MeasurementBasis.uniform(math.pi / 2.0, 0.7, 1), 1)
@@ -140,7 +152,8 @@ class TestProjectOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_probes_at_theta_pi_over_2(self, strong, n):
-        # one such probe leaves a possible record, two leave an impossible one
+        # one such probe leaves a probable record, two an improbable one;
+        # both are projected like any other
         rng = random.Random(25 + n)
         angles = list(random_basis(rng, n).angles)
         state = oracle_evolve(strong, n)
@@ -149,9 +162,8 @@ class TestProjectOracle:
         if n >= 2:
             angles[0] = (math.pi / 2.0, angles[0][1])
             basis = MeasurementBasis.from_angles(angles)
-            assert dense_projection(state, basis)[1] < DEGENERATE_PROBABILITY
-            with pytest.raises(DegenerateOutcomeError):
-                project_oracle(state, basis)
+            assert 0.0 < dense_projection(state, basis)[1] < 1e-30
+            assert_matches_dense(state, basis)
 
     def test_independent_of_batched_kernel(self, strong, monkeypatch):
         # negative control: a fault in the kernel's helper must open a gap
@@ -218,22 +230,26 @@ class TestUniformGamma:
         assert gt.gamma3 == pytest.approx(SQRT1_2)
 
     def test_matches_per_probe_route(self, strong, weak):
+        # uniform_gamma's amplitudes differ from the per-probe ones by the
+        # factor alpha^(n-1), so the two states agree up to its sign
         rng = np.random.default_rng(25)
         near_edges = [(1e-9, 0.4), (math.pi / 2.0 - 1e-9, 1.0)]
         for cfg in (strong, weak):
             cases = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(12)]
             for theta, phi in cases + near_edges:
                 for n in (0, 1, 2, 5):
-                    try:
-                        u = uniform_gamma(cfg, theta, phi, n)
-                    except DegenerateOutcomeError:
-                        with pytest.raises(DegenerateOutcomeError):
-                            gamma_coefficients(cfg, MeasurementBasis.uniform(theta, phi, n), n)
-                        continue
+                    u = uniform_gamma(cfg, theta, phi, n)
                     g = gamma_coefficients(cfg, MeasurementBasis.uniform(theta, phi, n), n)
-                    assert abs(u.gamma1 - g.gamma1) <= 1e-12
-                    assert abs(u.gamma2 - g.gamma2) <= 1e-12
-                    assert abs(u.gamma3 - g.gamma3) <= 1e-12
+                    tu, tg = complementarity_after(u), complementarity_after(g)
+                    assert abs(tu.V - tg.V) <= 1e-12
+                    assert abs(tu.P - tg.P) <= 1e-12
+                    assert abs(tu.C - tg.C) <= 1e-12
+                    assert u.outcome_probability == pytest.approx(g.outcome_probability, rel=1e-12)
+                    su, sg = postselected_state(u), postselected_state(g)
+                    sign = 1.0 if math.cos(theta) > 0.0 or n % 2 else -1.0
+                    assert abs(su.c00 - sign * sg.c00) <= 1e-12
+                    assert abs(su.c01 - sign * sg.c01) <= 1e-12
+                    assert abs(su.c10 - sign * sg.c10) <= 1e-12
 
     def test_zero_coupling_limit_factor(self):
         cfg = make_config(0.0, 1.0, 6)
@@ -243,9 +259,19 @@ class TestUniformGamma:
         assert gt.gamma2 == pytest.approx(gt.gamma3)
         assert gt.outcome_probability == pytest.approx(math.cos(0.3) ** 10, abs=1e-12)
 
-    def test_degenerate_many_probes_at_pi_over_2(self, weak):
+    def test_many_probes_at_pi_over_2_are_improbable(self, weak):
+        gt = uniform_gamma(weak, math.pi / 2.0, 0.0, 4)
+        per_probe = gamma_coefficients(weak, MeasurementBasis.uniform(math.pi / 2.0, 0.0, 4), 4)
+        assert 0.0 < gt.outcome_probability < 1e-90
+        assert gt.outcome_probability == pytest.approx(per_probe.outcome_probability, rel=1e-12)
+        t = complementarity_after(gt)
+        assert t.P == pytest.approx(1.0, abs=1e-12)
+        assert abs(t.closure_residual) <= 1e-10
+        # at n = 20 the per-probe amplitudes underflow; the shared-basis ones do not
         with pytest.raises(DegenerateOutcomeError):
-            uniform_gamma(weak, math.pi / 2.0, 0.0, 4)
+            gamma_coefficients(weak, MeasurementBasis.uniform(math.pi / 2.0, 0.0, 20), 20)
+        shared = complementarity_after(uniform_gamma(weak, math.pi / 2.0, 0.0, 20))
+        assert shared.P == pytest.approx(1.0, abs=1e-12)
 
 
 class TestComplementarityAfter:

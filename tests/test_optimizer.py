@@ -21,6 +21,7 @@ from complement_opt import (
     project_oracle,
     triple,
 )
+from complement_opt.optimize import TIE_TOLERANCE
 from helpers import random_basis, random_coupling
 
 
@@ -117,11 +118,28 @@ class TestOutcomeProbability:
 
 class TestKnownLimit:
     def test_tiny_coupling_raises_for_visibility_and_predictability(self):
+        # float angles cannot represent the optimal basis; theta_1 = 0 stays exact
         cfg = small_a_config(1e-16)
         for objective in (Objective.VISIBILITY, Objective.PREDICTABILITY):
-            with pytest.raises(DegenerateOutcomeError):
+            with pytest.raises(DomainError, match="closed form"):
                 maximize(cfg, 1, objective)
         assert maximize(cfg, 1, Objective.CONCURRENCE).achieved.C == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("phase", [1e-12, 1e-13, 1e-20])
+    def test_unrepresentable_optimum_raises(self, phase):
+        # here the best float basis falls short of the closed form by more
+        # than TIE_TOLERANCE (V* by 2.2e-9 and P* by 7.5e-9 at 1e-12)
+        cfg = small_a_config(phase)
+        for objective in (Objective.VISIBILITY, Objective.PREDICTABILITY):
+            with pytest.raises(DomainError, match="closed form"):
+                maximize(cfg, 1, objective)
+
+    def test_smallest_representable_coupling_reaches_closed_form(self):
+        cfg = small_a_config(1e-11)
+        v = maximize(cfg, 1, Objective.VISIBILITY).achieved.V
+        p = maximize(cfg, 1, Objective.PREDICTABILITY).achieved.P
+        assert abs(v - analytic_visibility_max(cfg, 1)) <= TIE_TOLERANCE
+        assert abs(p - 1.0) <= TIE_TOLERANCE
 
     def test_small_coupling_still_reaches_optimum(self):
         cfg = small_a_config(1e-8)
