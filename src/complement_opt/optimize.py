@@ -25,13 +25,16 @@ so it fixes phi_1 = 0 and searches the 2n - 1 free angles.  Replacing one
 probe's (theta, phi) by (pi - theta, phi + pi) flips the sign of every gamma,
 so each theta axis covers only the closed half period [0, pi/2] (pi/2 is kept:
 P = 1 sits there).  With 15 degree steps that gives a grid of 7 points at
-n = 1 and 7 x 7 x 24 = 1,176 at n = 2, then a compass search from each of the
-8 leading points over those same angles.  Every value, on the grid and in the
-search, goes through one route: ``oracle_evolve``, ``project_oracle`` (a
-sequential per-probe projection that shares no helper with
-``gamma_coefficients``) and ``complementarity.triple``, so an error in the
-library's post-selection kernel cannot reach it.  The value and the angles are
-returned as Python floats; the angles are the canonical ones
+n = 1 and 7 x 7 x 24 = 1,176 at n = 2, then, for each objective, a compass
+search from each of its 8 leading points over those same angles.  Every value,
+on the grid and in the search, goes through one route: ``oracle_evolve``,
+``project_oracle`` (a sequential per-probe projection that shares no helper
+with ``gamma_coefficients``) and ``complementarity.triple``, so an error in
+the library's post-selection kernel cannot reach it.  One call serves all
+three objectives from one collision state: the triple at each exact free-angle
+tuple is computed once and kept in a dict local to the call, so the objectives
+share every point and nothing is kept across calls.  Each objective's value
+and angles are returned as Python floats; the angles are the canonical ones
 (``canonical_angles``) at which the value was computed.
 """
 from __future__ import annotations
@@ -122,9 +125,9 @@ _POLISHED = 8
 _POLISH_STOP = 1e-9
 
 
-def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
-    """Exhaustive reference optimum for small n: an angle grid plus a compass
-    search from each of the leading grid points.
+def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple[float, tuple]]:
+    """Exhaustive reference optima for small n: an angle grid plus a compass
+    search from each of the leading grid points, for every objective.
 
     A phase common to all probes changes no |gamma|, so phi_1 is fixed at 0:
     the grid and the polish run over the 2n - 1 free angles theta_1..theta_n,
@@ -133,32 +136,40 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
     n = 2).  Every value, on the grid and in the polish, comes from the
     sequential-collision state, the direct projection route and the
     pure-state formulas, so it is independent of both the post-selection
-    kernel and the closed form in ``maximize``.  Supports n <= 2.  Returns
-    (value, angles) with angles as n canonical (theta, phi) pairs in
-    [0, pi) x [0, 2 pi).
+    kernel and the closed form in ``maximize``.  One pass serves all three
+    objectives: the triple at each free-angle tuple is computed once and kept
+    in a dict local to the call, so nothing is kept across calls.  Supports
+    n <= 2.  Returns {objective: (value, angles)} with angles as n canonical
+    (theta, phi) pairs in [0, pi) x [0, 2 pi).
     """
     cfg.check_n(n)
     if n > 2:
         raise DomainError(f"grid reference supports n <= 2, got n={n}")
     state = oracle_evolve(cfg, n)
+    # exact free angles -> triple, shared by the three objectives; an unrounded key
+    # makes a hit return exactly what a miss would compute
+    triples: dict[tuple, ComplementarityTriple] = {}
 
     def basis(free: tuple) -> MeasurementBasis:
         return MeasurementBasis.from_angles(zip(free[:n], (0.0, *free[n:])))
 
-    def value(free: tuple) -> float:
-        # never impossible: with n <= 2, |c10|^2 = alpha_1^2 alpha_2^2 / 2 >= 7e-66
-        pure, _ = project_oracle(state, basis(free))
-        return objective_value(pure_triple(pure), objective)
+    def value(free: tuple, objective: Objective) -> float:
+        t = triples.get(free)
+        if t is None:
+            # never impossible: with n <= 2, |c10|^2 = alpha_1^2 alpha_2^2 / 2 >= 7e-66
+            pure, _ = project_oracle(state, basis(free))
+            t = triples[free] = pure_triple(pure)
+        return objective_value(t, objective)
 
     step = math.radians(_REFERENCE_STEP_DEG)
 
-    def polish(free: tuple) -> tuple[float, tuple]:
+    def polish(free: tuple, objective: Objective) -> tuple[float, tuple]:
         # compass search: it accepts only improvements, so it never ends below its start
-        best, h = value(free), step
+        best, h = value(free, objective), step
         while h >= _POLISH_STOP:
             for i, move in itertools.product(range(len(free)), (h, -h)):
                 trial = free[:i] + (free[i] + move,) + free[i + 1:]
-                trial_value = value(trial)
+                trial_value = value(trial, objective)
                 if trial_value > best:
                     free, best = trial, trial_value
                     break
@@ -171,7 +182,12 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int, objective: Objective):
     thetas = [i * step for i in range(per_right_angle + 1)]
     phis = [i * step for i in range(4 * per_right_angle)]
     # at n = 0 the product over no axes yields one point, the empty one
-    grid = itertools.product(*[thetas] * n, *[phis] * (n - 1))
-    best, free = max(map(polish, heapq.nlargest(_POLISHED, grid, key=value)), key=lambda r: r[0])
-    # the canonical angles are exactly the ones value evaluated
-    return best, basis(free).angles
+    grid = list(itertools.product(*[thetas] * n, *[phis] * (n - 1)))
+
+    def search(objective: Objective) -> tuple[float, tuple]:
+        starts = heapq.nlargest(_POLISHED, grid, key=lambda free: value(free, objective))
+        best, free = max((polish(free, objective) for free in starts), key=lambda r: r[0])
+        # the canonical angles are exactly the ones value evaluated
+        return best, basis(free).angles
+
+    return {objective: search(objective) for objective in Objective}

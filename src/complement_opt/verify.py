@@ -11,6 +11,8 @@ Four families of checks, all seeded and deterministic:
 The sampled checks draw their random cases from ``random.Random`` through
 ``random()`` alone, a sequence Python keeps fixed for a given seed.
 The closure check takes V, P and C from the library's ``complementarity_after``.
+A sampled check skips an impossible record, names how many it skipped, and
+fails when it skipped every draw, so it cannot pass on no evidence.
 ``perturb=True`` substitutes a triple function whose P has one sign flipped (a
 deliberate fault) so callers can confirm the suite fails when the math is wrong.
 """
@@ -31,7 +33,7 @@ from .measurement import (
     postselected_state,
     project_oracle,
 )
-from .optimize import Objective, grid_reference_maximum, maximize, objective_value
+from .optimize import grid_reference_maximum, maximize, objective_value
 from .experiments import PRESETS, preset_config
 
 
@@ -66,22 +68,35 @@ def _sign_fault(gt: GammaTriple):
     return replace(complementarity_after(gt), P=abs(m3 - m1 + m2) / (m1 + m2 + m3))
 
 
+def _sampled_result(
+    name: str, samples: int, skipped: int, worst: float, statistic: str
+) -> CheckResult:
+    """A sampled check passes only if it evaluated at least one sample; the
+    detail starts with the samples drawn, names any impossible records skipped
+    and ends with the statistic."""
+    skips = f" ({skipped} skipped as impossible)" if skipped else ""
+    return CheckResult(
+        name=name,
+        passed=skipped < samples and worst <= 1e-10,
+        detail=f"{samples} samples{skips}, max {statistic} = {worst:.3e}",
+    )
+
+
 def _closure_check(samples: int, seed: int, triple_of) -> CheckResult:
     rng = random.Random(seed)
-    worst = 0.0
+    worst, skipped = 0.0, 0
     for _ in range(samples):
         cfg, n = _random_case(rng)
         basis = _random_basis(rng, n)
         try:
             gt = gamma_coefficients(cfg, basis, n)
         except DegenerateOutcomeError:
+            skipped += 1
             continue
         t = triple_of(gt)
         worst = max(worst, abs(t.V * t.V + t.P * t.P + t.C * t.C - 1.0))
-    return CheckResult(
-        name="closure-after-measurement",
-        passed=worst <= 1e-10,
-        detail=f"{samples} samples, max |V^2+P^2+C^2-1| = {worst:.3e}",
+    return _sampled_result(
+        "closure-after-measurement", samples, skipped, worst, "|V^2+P^2+C^2-1|"
     )
 
 
@@ -108,7 +123,7 @@ def _evolution_check(seed: int, cases: int = 200) -> CheckResult:
 
 def _projection_check(samples: int, seed: int) -> CheckResult:
     rng = random.Random(seed + 2)
-    worst = 0.0
+    worst, skipped = 0.0, 0
     for _ in range(samples):
         cfg, n = _random_case(rng, n_cap=10)
         basis = _random_basis(rng, n)
@@ -116,6 +131,7 @@ def _projection_check(samples: int, seed: int) -> CheckResult:
             gt = gamma_coefficients(cfg, basis, n)
             pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
         except DegenerateOutcomeError:
+            skipped += 1
             continue
         expected = postselected_state(gt)
         worst = max(
@@ -125,10 +141,8 @@ def _projection_check(samples: int, seed: int) -> CheckResult:
             abs(pure.c01 - expected.c01),
             abs(pure.c10 - expected.c10),
         )
-    return CheckResult(
-        name="postselection-dual-route",
-        passed=worst <= 1e-10,
-        detail=f"{samples} samples, max state/probability gap = {worst:.3e}",
+    return _sampled_result(
+        "postselection-dual-route", samples, skipped, worst, "state/probability gap"
     )
 
 
@@ -154,8 +168,7 @@ def _optimizer_check() -> CheckResult:
     for preset in PRESETS:
         cfg = preset_config(preset)
         for n in (1, 2):
-            for objective in Objective:
-                reference, _ = grid_reference_maximum(cfg, n, objective)
+            for objective, (reference, _) in grid_reference_maximum(cfg, n).items():
                 achieved = objective_value(maximize(cfg, n, objective).achieved, objective)
                 worst = max(worst, abs(achieved - reference))
     return CheckResult(

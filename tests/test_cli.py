@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from complement_opt import (
+    DegenerateOutcomeError,
     MeasurementBasis,
     Objective,
     OptimizationResult,
@@ -23,6 +24,13 @@ from helpers import package_env
 
 def run_cli(*args):
     return main(list(args))
+
+
+#: the two sampled checks that skip impossible records, at 40 samples
+SAMPLED_CHECKS = {
+    "closure": lambda: verify._closure_check(40, 7, verify.complementarity_after),
+    "projection": lambda: verify._projection_check(40, 7),
+}
 
 
 class TestRunCommand:
@@ -423,6 +431,35 @@ class TestVerifyCommand:
             verify, "per_qubit_distinguishability", lambda cfg, i: 1.001 * exact(cfg, i)
         )
         assert not verify._budget_check().passed
+
+    @pytest.mark.parametrize("check", SAMPLED_CHECKS)
+    def test_sampled_check_fails_when_every_draw_is_skipped(self, monkeypatch, check):
+        # negative control: a check that evaluated no sample has no evidence to pass on
+        def impossible(*args):
+            raise DegenerateOutcomeError("every record impossible")
+
+        monkeypatch.setattr(verify, "gamma_coefficients", impossible)
+        result = SAMPLED_CHECKS[check]()
+        assert not result.passed
+        assert result.detail.startswith("40 samples (40 skipped")
+
+    @pytest.mark.parametrize("check", SAMPLED_CHECKS)
+    def test_sampled_check_names_its_skips(self, monkeypatch, check):
+        exact = verify.gamma_coefficients
+        calls = []
+
+        def every_other(*args):
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise DegenerateOutcomeError("every other record impossible")
+            return exact(*args)
+
+        monkeypatch.setattr(verify, "gamma_coefficients", every_other)
+        result = SAMPLED_CHECKS[check]()
+        assert result.passed
+        # the sample count leads and the statistic ends the detail
+        assert result.detail.startswith("40 samples (20 skipped")
+        assert float(result.detail.rsplit(" = ", 1)[1]) <= 1e-10
 
     def test_verify_deterministic_report(self, capsys):
         run_cli("verify", "--samples", "40", "--seed", "3")

@@ -1,4 +1,5 @@
-"""Golden outputs: the bytes of a fixed set of runs and ``verify`` reports.
+"""Golden outputs: the bytes of a fixed set of runs, ``verify`` reports and
+grid-reference optima.
 
 Every study is run in process through ``main`` and each CSV, and each
 ``verify`` report, is reduced to its SHA-256 digest and compared with the
@@ -10,7 +11,9 @@ so in CHANGES.md.
 """
 import hashlib
 
+from complement_opt import Objective, grid_reference_maximum
 from complement_opt.cli import main
+from complement_opt.experiments import PRESETS, preset_config
 
 #: ``run`` arguments of the 20 studies, each writing one CSV.
 RUNS = [
@@ -62,6 +65,13 @@ VERIFY_REPORTS = {
     "--perturb": (1, "34499d52625d00097d1dcff63f8ae0f3c3a0ad75f06eb01214064377115ef442"),
 }
 
+#: SHA-256 of the repr of the list of every (value, angles) the grid reference
+#: returns, for each preset, n in (0, 1, 2) and objective in that order.  The
+#: printed ``verify`` gap has 4 digits, so only this pins the reference's last
+#: bit.  It was recorded when each objective still ran its own grid pass, so it
+#: also pins that sharing one pass changed no bit.
+REFERENCE_DIGEST = "ef28ce853b38c571ed6f1f6eb1c8b862ca111e32b21e3286e32e5e2ad35ad195"
+
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -90,3 +100,14 @@ def test_verify_reports_match_stored_digests(capsys):
         actual[args] = (code, digest(capsys.readouterr().out.encode()))
     changed = differing(actual, VERIFY_REPORTS)
     assert not changed, f"verify reports that differ from the stored digests: {changed}"
+
+
+def test_grid_reference_matches_stored_digest():
+    optima = [
+        grid_reference_maximum(preset_config(preset), n)[objective]
+        for preset in PRESETS
+        for n in (0, 1, 2)
+        for objective in Objective
+    ]
+    assert len(optima) == 18
+    assert digest(repr(optima).encode()) == REFERENCE_DIGEST

@@ -271,8 +271,10 @@ class TestGridReference:
     @pytest.mark.parametrize("n", [1, 2])
     def test_output_contract(self, strong, weak, n):
         for cfg in (strong, weak):
+            reference = grid_reference_maximum(cfg, n)
+            assert list(reference) == list(Objective)
             for objective in Objective:
-                value, angles = grid_reference_maximum(cfg, n, objective)
+                value, angles = reference[objective]
                 assert type(value) is float
                 assert all(type(x) is float for pair in angles for x in pair)
                 assert all(0.0 <= t < math.pi and 0.0 <= p < 2.0 * math.pi for t, p in angles)
@@ -283,13 +285,13 @@ class TestGridReference:
                 assert value == pytest.approx(best, abs=1e-9)
 
     def test_trivial_n0(self, strong):
-        value, angles = grid_reference_maximum(strong, 0, Objective.CONCURRENCE)
+        value, angles = grid_reference_maximum(strong, 0)[Objective.CONCURRENCE]
         assert value == pytest.approx(1.0, abs=1e-14)
         assert angles == ()
 
     def test_matches_analytic_n1(self, strong, weak):
         for cfg in (strong, weak):
-            value, _ = grid_reference_maximum(cfg, 1, Objective.VISIBILITY)
+            value, _ = grid_reference_maximum(cfg, 1)[Objective.VISIBILITY]
             assert value == pytest.approx(analytic_visibility_max(cfg, 1), abs=1e-6)
 
     def test_value_independent_of_shared_kernel(self, strong, monkeypatch):
@@ -305,7 +307,7 @@ class TestGridReference:
         monkeypatch.setattr(measurement, "_complementarity_from_moduli", inflated)
         basis = MeasurementBasis.from_angles([(0.4, 0.0)])
         assert complementarity_after(gamma_coefficients(strong, basis, 1)).V > 1.0
-        value, _ = grid_reference_maximum(strong, 1, Objective.VISIBILITY)
+        value, _ = grid_reference_maximum(strong, 1)[Objective.VISIBILITY]
         assert value == pytest.approx(analytic_visibility_max(strong, 1), abs=1e-6)
 
     def test_runs_without_the_post_selection_kernel(self, strong, monkeypatch):
@@ -322,9 +324,26 @@ class TestGridReference:
                 for attr, obj in list(vars(module).items()):
                     if any(obj is f for f in kernel):
                         monkeypatch.setattr(module, attr, broken)
-        value, _ = grid_reference_maximum(strong, 1, Objective.VISIBILITY)
+        value, _ = grid_reference_maximum(strong, 1)[Objective.VISIBILITY]
         assert value == pytest.approx(analytic_visibility_max(strong, 1), abs=1e-6)
+
+    def test_one_pass_serves_every_objective(self, weak, monkeypatch):
+        # each free-angle tuple is projected once per call: weak n = 2 took
+        # 12,225 projections as three per-objective searches; a second call
+        # repeats them all, so nothing is kept across calls
+        from complement_opt import optimize
+
+        calls = []
+        project = optimize.project_oracle
+        monkeypatch.setattr(
+            optimize, "project_oracle", lambda *args: calls.append(1) or project(*args)
+        )
+        first = grid_reference_maximum(weak, 2)
+        once = len(calls)
+        assert 0 < once <= 12_225 // 2
+        assert grid_reference_maximum(weak, 2) == first
+        assert len(calls) == 2 * once
 
     def test_rejects_large_n_without_step(self, strong):
         with pytest.raises(DomainError):
-            grid_reference_maximum(strong, 3, Objective.CONCURRENCE)
+            grid_reference_maximum(strong, 3)
