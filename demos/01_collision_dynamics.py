@@ -9,7 +9,6 @@ law as the probe train becomes dense.
 import math
 
 from complement_opt import (
-    concurrence_unmeasured,
     continuous_limit_gap,
     distinguishability_ab,
     evolve_closed_form,
@@ -55,8 +54,8 @@ def main():
     print("  n    D(A:B) = a^2n     C(A:B) = a^n    (strong | weak)")
     for n in (1, 4, 10, 20):
         print(f"  {n:2d}   {distinguishability_ab(strong, n):.8f}    "
-              f"{concurrence_unmeasured(strong, n):.8f}   | "
-              f"{distinguishability_ab(weak, n):.6f}  {concurrence_unmeasured(weak, n):.6f}")
+              f"{strong.a ** n:.8f}   | "
+              f"{distinguishability_ab(weak, n):.6f}  {weak.a ** n:.6f}")
 
     separator("MANY-PROBE LIMIT")
     k, T = 3.0, 1.0

@@ -10,7 +10,6 @@ that tabulates the resulting complementarity and information-budget curves.
 from .collisions import (
     CouplingConfig,
     ExcitationState,
-    concurrence_unmeasured,
     continuous_limit_gap,
     distinguishability_ab,
     evolve_closed_form,
@@ -21,15 +20,11 @@ from .collisions import (
 from .complementarity import (
     ComplementarityTriple,
     TwoQubitPure,
-    concurrence,
     distinguishability,
-    predictability,
     triple,
-    visibility,
 )
 from .errors import (
     ConfigError,
-    DegenerateOutcomeError,
     DomainError,
     NormalizationError,
     RangeError,
@@ -64,14 +59,10 @@ __all__ = [
     "evolve_closed_form",
     "oracle_evolve",
     "distinguishability_ab",
-    "concurrence_unmeasured",
     "reservoir_limit_concurrence",
     "continuous_limit_gap",
     "TwoQubitPure",
     "ComplementarityTriple",
-    "concurrence",
-    "visibility",
-    "predictability",
     "distinguishability",
     "triple",
     "MeasurementBasis",
@@ -94,6 +85,5 @@ __all__ = [
     "DomainError",
     "RangeError",
     "NormalizationError",
-    "DegenerateOutcomeError",
     "__version__",
 ]

@@ -14,13 +14,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DegenerateOutcomeError,
-    DomainError,
-    NormalizationError,
-    RangeError,
-)
+from .errors import ConfigError, DomainError, NormalizationError, RangeError
 from .experiments import (
     DEFAULT_OUT,
     EXPERIMENTS,
@@ -176,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RangeError, NormalizationError, DegenerateOutcomeError) as exc:
+    except (DomainError, RangeError, NormalizationError) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 3
 

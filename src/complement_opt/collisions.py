@@ -146,12 +146,6 @@ def distinguishability_ab(cfg: CouplingConfig, n: int) -> float:
     return cfg.a ** (2 * n)
 
 
-def concurrence_unmeasured(cfg: CouplingConfig, n: int) -> float:
-    """Concurrence of the reduced A-B pair after n collisions, a^n."""
-    cfg.check_n(n)
-    return cfg.a ** n
-
-
 def reservoir_limit_concurrence(k: float, t: float) -> float:
     """Pair concurrence in the many-probe (Markovian) limit, exp(-k t / 2)."""
     if not (0.0 <= k < math.inf and 0.0 <= t < math.inf):
@@ -168,11 +162,10 @@ def continuous_limit_gap(k: float, T: float, N: int) -> float:
     """
     if N < 1:
         raise DomainError(f"N must be a positive integer, got {N}")
-    if not (0.0 <= k < math.inf and 0.0 <= T < math.inf):
-        raise DomainError(f"k and T must be finite and >= 0, got k={k}, T={T}")
+    limit = reservoir_limit_concurrence(k, T)
     x = k * T / N
     if math.sqrt(x) >= math.pi / 2:
         raise DomainError(
             f"kT/N = {x:.6g} must lie in [0, (pi/2)^2) for the cosine argument"
         )
-    return abs(math.cos(math.sqrt(x)) ** N - math.exp(-k * T / 2.0))
+    return abs(math.cos(math.sqrt(x)) ** N - limit)

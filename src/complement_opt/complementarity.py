@@ -70,18 +70,6 @@ def triple(state: TwoQubitPure) -> ComplementarityTriple:
     return ComplementarityTriple(v, p, c, v * v + p * p + c * c - 1.0)
 
 
-def concurrence(state: TwoQubitPure) -> float:
-    return triple(state).C
-
-
-def visibility(state: TwoQubitPure) -> float:
-    return triple(state).V
-
-
-def predictability(state: TwoQubitPure) -> float:
-    return triple(state).P
-
-
 def distinguishability(state: TwoQubitPure) -> float:
     """Total which-path information, sqrt(C^2 + P^2) = sqrt(1 - V^2)."""
     t = triple(state)

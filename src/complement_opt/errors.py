@@ -16,7 +16,3 @@ class RangeError(ValueError):
 
 class NormalizationError(ValueError):
     """A state vector deviates from unit norm beyond tolerance."""
-
-
-class DegenerateOutcomeError(ValueError):
-    """Post-selection whose amplitudes have squared norm 0.0 and cannot be normalized."""

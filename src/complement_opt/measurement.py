@@ -15,35 +15,42 @@ amplitudes
     gamma2  on |0_A 1_B>   (excitation still on B)
     gamma3  on |1_A 0_B>   (excitation on A)
 
-gamma1 is always evaluated in product form,
-sum_i a^(i-1) beta_i prod_{j != i} alpha_j, which stays finite when some
-alpha_i = 0 (theta_i = pi/2), where the ratio form beta_i / alpha_i would blow
-up even though the physics is regular.
+gamma1 is evaluated in product form,
+sum_i a^(i-1) beta_i prod_{j != i} alpha_j, which stays finite however small
+some alpha_i (theta_i near pi/2), where the ratio form beta_i / alpha_i would
+blow up even though the physics is regular.  The products of alphas are carried
+as p * 2^e: whenever |p| drops below 2^-256 it is multiplied by 2^256, which is
+exact, and e lowered by 256, so they never underflow.
 
 ``gamma_coefficients`` (the amplitudes of one record) and
 ``_complementarity_from_moduli`` (V, P, C from their squared moduli) are the
 library's post-selection kernel.  ``project_oracle`` is the independent route:
 it projects the probes of a collision state one at a time, in order, in plain
 complex arithmetic, and shares no helper with the kernel, so a fault in the
-kernel shows up as a gap between the two routes.  A record is impossible,
-and raises ``DegenerateOutcomeError``, only when the squared norm of its
-amplitudes is exactly 0.0; an improbable record is evaluated like any other.
+kernel shows up as a gap between the two routes.  No record is impossible:
+cos(theta) of a float is never 0.0 and qubit A keeps amplitude 1/sqrt(2), so
+every record normalizes, however improbable.  Its outcome probability is
+2^(2e) times the squared norm and reads 0.0 where that lies below the smallest
+double.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .collisions import CouplingConfig, ExcitationState, distinguishability_ab
 from .complementarity import ComplementarityTriple, TwoQubitPure
-from .errors import DegenerateOutcomeError, DomainError, RangeError
+from .errors import DomainError, RangeError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 _TWO_PI = 2.0 * math.pi
+
+# a running product of alphas below 2^-256 is multiplied by 2^256 (exact)
+_RESCALE_BITS = 256
+_RESCALE = 2.0 ** _RESCALE_BITS
+_TINY = 1.0 / _RESCALE
 
 
 def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -78,10 +85,6 @@ class MeasurementBasis:
     def uniform(cls, theta: float, phi: float, n: int) -> "MeasurementBasis":
         return cls.from_angles([(theta, phi)] * n)
 
-    @classmethod
-    def empty(cls) -> "MeasurementBasis":
-        return cls(())
-
     def __len__(self) -> int:
         return len(self.angles)
 
@@ -89,7 +92,8 @@ class MeasurementBasis:
 @dataclass(frozen=True)
 class GammaTriple:
     """Unnormalized post-selected pair amplitudes, up to a common nonzero real
-    factor (1 for ``gamma_coefficients``), and the outcome probability."""
+    factor, and the outcome probability.  The factor of ``gamma_coefficients``
+    is 1, or 2^(256 k) once its product of alphas was rescaled k times."""
 
     gamma1: complex
     gamma2: complex
@@ -97,27 +101,30 @@ class GammaTriple:
     outcome_probability: float
 
 
-def _check_possible(norm_sq: float) -> None:
-    if norm_sq == 0.0:
-        raise DegenerateOutcomeError(
-            "the post-selected amplitudes have squared norm 0.0 and cannot be "
-            "normalized; the measurement record is impossible"
-        )
-
-
-def _make_gamma(g1: complex, g2: complex, g3: complex, scale: float = 1.0) -> GammaTriple:
+def _make_gamma(
+    g1: complex, g2: complex, g3: complex, scale: float = 1.0, exponent: int = 0
+) -> GammaTriple:
+    """The amplitudes and their probability, ``scale`` * 2^``exponent`` times
+    their squared norm."""
     norm_sq = abs(g1) ** 2 + abs(g2) ** 2 + abs(g3) ** 2
-    _check_possible(norm_sq)
     # positional: a frozen dataclass takes keywords measurably slower per record
-    return GammaTriple(complex(g1), complex(g2), complex(g3), scale * norm_sq)
+    return GammaTriple(
+        complex(g1), complex(g2), complex(g3), math.ldexp(scale * norm_sq, exponent)
+    )
 
 
-def _exclusive_products(alpha: Sequence[float]) -> list[float]:
-    """Product of all entries of alpha except the own one (for an empty alpha
-    a single 1, which zip drops against the other empty operands)."""
-    pre = itertools.accumulate(alpha[:-1], operator.mul, initial=1.0)
-    suf = list(itertools.accumulate(reversed(alpha[1:]), operator.mul, initial=1.0))
-    return [p * q for p, q in zip(pre, reversed(suf))]
+def _running_products(values: Iterable[float]) -> list[tuple[float, int]]:
+    """Each prefix product of values, the empty one first, as a pair (p, e)
+    worth p * 2^e; |p| stays at or above 2^-256 for any |value| >= 2^-54."""
+    p, e = 1.0, 0
+    products = [(p, e)]
+    for value in values:
+        p *= value
+        if abs(p) < _TINY:
+            p *= _RESCALE
+            e -= _RESCALE_BITS
+        products.append((p, e))
+    return products
 
 
 def _complementarity_from_moduli(m1: float, m2: float, m3: float):
@@ -141,13 +148,16 @@ def gamma_coefficients(
         )
     alpha = [math.cos(theta) for theta, _ in basis.angles]
     beta = [complex(math.cos(phi), math.sin(phi)) * math.sin(theta) for theta, phi in basis.angles]
-    g3 = _SQRT1_2 * math.prod(alpha)
+    pre = _running_products(alpha)
+    suf = _running_products(reversed(alpha[1:]))[::-1]
+    p_all, e_all = pre[-1]
+    # every amplitude carries the common factor 2^-e_all; for an empty alpha zip
+    # drops the single exclusive product against the empty beta
+    rest = [math.ldexp(p * q, e + f - e_all) for (p, e), (q, f) in zip(pre, suf)]
+    g3 = _SQRT1_2 * p_all
     g2 = cfg.a ** n * g3
-    g1 = cfg.b * _SQRT1_2 * sum(
-        cfg.a ** i * b * rest
-        for i, (b, rest) in enumerate(zip(beta, _exclusive_products(alpha)))
-    )
-    return _make_gamma(g1, g2, g3)
+    g1 = cfg.b * _SQRT1_2 * sum(cfg.a ** i * b * r for i, (b, r) in enumerate(zip(beta, rest)))
+    return _make_gamma(g1, g2, g3, exponent=2 * e_all)
 
 
 def project_oracle(
@@ -161,7 +171,9 @@ def project_oracle(
     its own excitation branch, which carries alpha_j of every earlier probe,
     into |0_A 0_B> with weight beta_i.  Shares no helper with
     ``gamma_coefficients``.  Returns the normalized pair state (c11 = 0 by
-    construction) and the outcome probability.
+    construction) and the outcome probability; the amplitudes are carried
+    times 2^-e, e lowered by 256 whenever the product of alphas drops below
+    2^-256, so they never underflow.
     """
     if len(basis) != state.n:
         raise RangeError(
@@ -169,17 +181,19 @@ def project_oracle(
         )
     c00 = 0j
     prod_alpha = 1.0  # alpha_j of the probes projected so far
+    e = 0
     for (theta, phi), amp in zip(basis.angles, state.amp_r):
         alpha = math.cos(theta)
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
         c00 = alpha * c00 + beta * amp * prod_alpha
         prod_alpha *= alpha
+        if abs(prod_alpha) < _TINY:
+            prod_alpha, c00, e = prod_alpha * _RESCALE, c00 * _RESCALE, e - _RESCALE_BITS
     c01 = complex(state.amp_b) * prod_alpha
     c10 = complex(state.amp_a) * prod_alpha
-    prob = abs(c00) ** 2 + abs(c01) ** 2 + abs(c10) ** 2
-    _check_possible(prob)
-    norm = math.sqrt(prob)
-    return TwoQubitPure(c00 / norm, c01 / norm, c10 / norm, 0.0), prob
+    norm_sq = abs(c00) ** 2 + abs(c01) ** 2 + abs(c10) ** 2
+    norm = math.sqrt(norm_sq)
+    return TwoQubitPure(c00 / norm, c01 / norm, c10 / norm, 0.0), math.ldexp(norm_sq, 2 * e)
 
 
 def uniform_gamma(

@@ -156,7 +156,6 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple
     def value(free: tuple, objective: Objective) -> float:
         t = triples.get(free)
         if t is None:
-            # never impossible: with n <= 2, |c10|^2 = alpha_1^2 alpha_2^2 / 2 >= 7e-66
             pure, _ = project_oracle(state, basis(free))
             t = triples[free] = pure_triple(pure)
         return objective_value(t, objective)

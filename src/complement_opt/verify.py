@@ -11,8 +11,9 @@ Four families of checks, all seeded and deterministic:
 The sampled checks draw their random cases from ``random.Random`` through
 ``random()`` alone, a sequence Python keeps fixed for a given seed.
 The closure check takes V, P and C from the library's ``complementarity_after``.
-A sampled check skips an impossible record, names how many it skipped, and
-fails when it skipped every draw, so it cannot pass on no evidence.
+Every draw is evaluated, since no measurement record is impossible.  Each check
+collects one gap per quantity it compares and passes only if every gap is
+within its threshold, so a NaN gap fails and is reported as nan.
 ``perturb=True`` substitutes a triple function whose P has one sign flipped (a
 deliberate fault) so callers can confirm the suite fails when the math is wrong.
 """
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .collisions import distinguishability_ab, evolve_closed_form, make_config, oracle_evolve
-from .errors import ConfigError, DegenerateOutcomeError
+from .errors import ConfigError
 from .measurement import (
     GammaTriple,
     MeasurementBasis,
@@ -68,113 +69,98 @@ def _sign_fault(gt: GammaTriple):
     return replace(complementarity_after(gt), P=abs(m3 - m1 + m2) / (m1 + m2 + m3))
 
 
-def _sampled_result(
-    name: str, samples: int, skipped: int, worst: float, statistic: str
+def _check(
+    name: str, threshold: float, scope: str, statistic: str, gaps: list[float]
 ) -> CheckResult:
-    """A sampled check passes only if it evaluated at least one sample; the
-    detail starts with the samples drawn, names any impossible records skipped
-    and ends with the statistic."""
-    skips = f" ({skipped} skipped as impossible)" if skipped else ""
+    """Passes if and only if every gap is at most ``threshold``; a NaN gap is
+    reported as the largest, and fails."""
+    worst = math.nan if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
     return CheckResult(
         name=name,
-        passed=skipped < samples and worst <= 1e-10,
-        detail=f"{samples} samples{skips}, max {statistic} = {worst:.3e}",
+        passed=worst <= threshold,
+        detail=f"{scope}, max {statistic} = {worst:.3e}",
     )
 
 
 def _closure_check(samples: int, seed: int, triple_of) -> CheckResult:
     rng = random.Random(seed)
-    worst, skipped = 0.0, 0
+    gaps = []
     for _ in range(samples):
         cfg, n = _random_case(rng)
-        basis = _random_basis(rng, n)
-        try:
-            gt = gamma_coefficients(cfg, basis, n)
-        except DegenerateOutcomeError:
-            skipped += 1
-            continue
-        t = triple_of(gt)
-        worst = max(worst, abs(t.V * t.V + t.P * t.P + t.C * t.C - 1.0))
-    return _sampled_result(
-        "closure-after-measurement", samples, skipped, worst, "|V^2+P^2+C^2-1|"
+        t = triple_of(gamma_coefficients(cfg, _random_basis(rng, n), n))
+        gaps.append(abs(t.V * t.V + t.P * t.P + t.C * t.C - 1.0))
+    return _check(
+        "closure-after-measurement", 1e-10, f"{samples} samples", "|V^2+P^2+C^2-1|", gaps
     )
 
 
 def _evolution_check(seed: int, cases: int = 200) -> CheckResult:
     rng = random.Random(seed + 1)
-    worst = 0.0
+    gaps = []
     for _ in range(cases):
         cfg, n = _random_case(rng)
         closed = evolve_closed_form(cfg, n)
         oracle = oracle_evolve(cfg, n)
-        worst = max(
-            worst,
+        gaps += (
             abs(closed.amp_b - oracle.amp_b),
             abs(closed.amp_a - oracle.amp_a),
             *(abs(x - y) for x, y in zip(closed.amp_r, oracle.amp_r)),
             abs(closed.norm_sq() - 1.0),
         )
-    return CheckResult(
-        name="evolution-dual-route",
-        passed=worst <= 1e-10,
-        detail=f"{cases} cases, max amplitude gap = {worst:.3e}",
-    )
+    return _check("evolution-dual-route", 1e-10, f"{cases} cases", "amplitude gap", gaps)
 
 
 def _projection_check(samples: int, seed: int) -> CheckResult:
     rng = random.Random(seed + 2)
-    worst, skipped = 0.0, 0
+    gaps = []
     for _ in range(samples):
         cfg, n = _random_case(rng, n_cap=10)
         basis = _random_basis(rng, n)
-        try:
-            gt = gamma_coefficients(cfg, basis, n)
-            pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
-        except DegenerateOutcomeError:
-            skipped += 1
-            continue
+        gt = gamma_coefficients(cfg, basis, n)
+        pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
         expected = postselected_state(gt)
-        worst = max(
-            worst,
+        gaps += (
             abs(prob - gt.outcome_probability),
             abs(pure.c00 - expected.c00),
             abs(pure.c01 - expected.c01),
             abs(pure.c10 - expected.c10),
         )
-    return _sampled_result(
-        "postselection-dual-route", samples, skipped, worst, "state/probability gap"
+    return _check(
+        "postselection-dual-route", 1e-10, f"{samples} samples", "state/probability gap", gaps
     )
 
 
 def _budget_check() -> CheckResult:
-    worst = 0.0
     configs = [preset_config(preset) for preset in PRESETS]
-    for cfg in configs:
-        for n in range(0, cfg.N_total + 1):
-            total = distinguishability_ab(cfg, n) + sum(
-                per_qubit_distinguishability(cfg, i) for i in range(1, n + 1)
-            )
-            worst = max(worst, abs(total - 1.0))
+    gaps = [
+        abs(
+            distinguishability_ab(cfg, n)
+            + sum(per_qubit_distinguishability(cfg, i) for i in range(1, n + 1))
+            - 1.0
+        )
+        for cfg in configs
+        for n in range(0, cfg.N_total + 1)
+    ]
     n_max = max(cfg.N_total for cfg in configs)
-    return CheckResult(
-        name="distinguishability-budget",
-        passed=worst <= 1e-12,
-        detail=f"both presets, n <= {n_max}, max |budget - 1| = {worst:.3e}",
+    return _check(
+        "distinguishability-budget", 1e-12, f"both presets, n <= {n_max}", "|budget - 1|", gaps
     )
 
 
 def _optimizer_check() -> CheckResult:
-    worst = 0.0
+    gaps = []
     for preset in PRESETS:
         cfg = preset_config(preset)
         for n in (1, 2):
             for objective, (reference, _) in grid_reference_maximum(cfg, n).items():
                 achieved = objective_value(maximize(cfg, n, objective).achieved, objective)
-                worst = max(worst, abs(achieved - reference))
-    return CheckResult(
-        name="small-n-optimizer-reference",
-        passed=worst <= 1e-3,
-        detail=f"n in (1, 2), both presets, all objectives, max gap = {worst:.3e}",
+                gaps.append(abs(achieved - reference))
+    return _check(
+        "small-n-optimizer-reference",
+        1e-3,
+        "n in (1, 2), both presets, all objectives",
+        "gap",
+        gaps,
     )
 
 

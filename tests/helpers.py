@@ -95,26 +95,57 @@ def orthogonal_pair_angles(theta: float, phi: float) -> tuple[float, float]:
     return math.pi / 2.0 - theta, phi + math.pi
 
 
-def exact_uniform_record(a: float, b_abs: float, theta: float, n: int) -> tuple[Fraction, ...]:
-    """(V^2, P, C^2, outcome probability) of n probes all projected at
-    (theta, phi = 0), in exact rational arithmetic.
+def _dyadic(x: float) -> tuple[int, int]:
+    """The float x as (m, e) with x = m * 2^e exactly: a float's denominator
+    is a power of two."""
+    m, d = x.as_integer_ratio()
+    return m, 1 - d.bit_length()
 
-    The floats cos(theta), sin(theta), a and |b| are taken as the exact
-    rationals they represent, so nothing underflows however improbable the
-    record.  After n collisions probe i holds a^(i-1) b, qubit B a^n and qubit A
-    1 (times 1/sqrt(2), which only halves the probability; the phase of b is
+
+def _mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0], x[1] + y[1]
+
+
+def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (m, e), (k, f) = x, y
+    return (m + (k << (f - e)), e) if e <= f else ((m << (e - f)) + k, f)
+
+
+def exact_record(a: float, b_abs: float, angles) -> tuple:
+    """V^2, P and C^2 of the record that projects probe i at angles[i] =
+    (theta_i, phi_i), each a correctly rounded float, and its outcome
+    probability as an exact ``Fraction``.
+
+    The floats a, |b| and the cosines and sines of the angles are taken as the
+    exact dyadic rationals they represent, and every product and sum is an
+    exact integer operation, so nothing underflows however improbable the
+    record.  After n collisions probe i holds a^(i-1) b, qubit B a^n and qubit
+    A 1 (times 1/sqrt(2), which only halves the probability; the phase of b is
     common to all probe amplitudes and changes no modulus).  The probes are
     projected one at a time, in order: probe i scales every branch in which it
-    holds no excitation by alpha and moves its own excitation, which carries
-    alpha of every earlier probe, into |0_A 0_B> with weight beta.
+    holds no excitation by alpha_i = cos(theta_i) and moves its own
+    excitation, which carries alpha_j of every earlier probe, into |0_A 0_B>
+    with weight beta_i = exp(i phi_i) sin(theta_i), kept as its real and
+    imaginary parts.
     """
-    alpha, beta = Fraction(math.cos(theta)), Fraction(math.sin(theta))
-    a, b_abs = Fraction(a), Fraction(b_abs)
-    c00, prod_alpha, amp = Fraction(0), Fraction(1), b_abs
-    for _ in range(n):
-        c00 = alpha * c00 + beta * amp * prod_alpha
-        prod_alpha *= alpha
-        amp *= a
-    m1, m2, m3 = c00 * c00, (a ** n * prod_alpha) ** 2, prod_alpha * prod_alpha
+    a = _dyadic(a)
+    re = im = (0, 0)
+    prod_alpha, amp = (1, 0), _dyadic(b_abs)
+    for theta, phi in angles:
+        alpha = _dyadic(math.cos(theta))
+        moved = _mul(_mul(_dyadic(math.sin(theta)), amp), prod_alpha)
+        re = _add(_mul(alpha, re), _mul(_dyadic(math.cos(phi)), moved))
+        im = _add(_mul(alpha, im), _mul(_dyadic(math.sin(phi)), moved))
+        prod_alpha = _mul(prod_alpha, alpha)
+        amp = _mul(amp, a)
+    c01 = _mul((a[0] ** len(angles), a[1] * len(angles)), prod_alpha)
+    moduli = (_add(_mul(re, re), _mul(im, im)), _mul(c01, c01), _mul(prod_alpha, prod_alpha))
+    e = min(f for _, f in moduli)
+    m1, m2, m3 = (m << (f - e) for m, f in moduli)
     total = m1 + m2 + m3
-    return 4 * m1 * m3 / total ** 2, abs(m3 - m1 - m2) / total, 4 * m2 * m3 / total ** 2, total / 2
+    return (
+        4 * m1 * m3 / total ** 2,
+        abs(m3 - m1 - m2) / total,
+        4 * m2 * m3 / total ** 2,
+        Fraction(total, 2 ** (1 - e)),
+    )

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from complement_opt import (
-    DegenerateOutcomeError,
     MeasurementBasis,
     Objective,
     TwoQubitPure,
@@ -43,19 +42,21 @@ def _report(cid: str, name: str, ok: bool, detail: str = "") -> None:
     print(f"[acceptance] {cid} {name}: {status}{suffix}")
 
 
+def _worst(gaps: list[float]) -> float:
+    """The largest gap, or nan if any gap is nan, so that a NaN gap fails
+    every ``<=`` bound instead of hiding behind a smaller one."""
+    return math.nan if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
+
+
 def test_c01_closure_after_measurement():
     rng = random.Random(101)
     started = time.perf_counter()
-    worst = 0.0
-    evaluated = 0
-    while evaluated < 1000:
+    gaps = []
+    for _ in range(1000):
         cfg, n = random_coupling(rng)
-        try:
-            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
-        except DegenerateOutcomeError:
-            continue
-        worst = max(worst, abs(complementarity_after(gt).closure_residual))
-        evaluated += 1
+        gt = gamma_coefficients(cfg, random_basis(rng, n), n)
+        gaps.append(abs(complementarity_after(gt).closure_residual))
+    worst = _worst(gaps)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 5.0
     _report("C01", "closure-after-measurement", ok,
@@ -67,25 +68,20 @@ def test_c01_closure_after_measurement():
 def test_c02_postselection_dual_route():
     rng = random.Random(102)
     started = time.perf_counter()
-    worst = 0.0
-    evaluated = 0
-    while evaluated < 500:
+    gaps = []
+    for _ in range(500):
         cfg, n = random_coupling(rng, n_cap=10)
         basis = random_basis(rng, n)
-        try:
-            gt = gamma_coefficients(cfg, basis, n)
-            pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
-        except DegenerateOutcomeError:
-            continue
+        gt = gamma_coefficients(cfg, basis, n)
+        pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
         expected = postselected_state(gt)
-        worst = max(
-            worst,
+        gaps += (
             abs(prob - gt.outcome_probability),
             abs(pure.c00 - expected.c00),
             abs(pure.c01 - expected.c01),
             abs(pure.c10 - expected.c10),
         )
-        evaluated += 1
+    worst = _worst(gaps)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and elapsed < 10.0
     _report("C02", "postselection-dual-route", ok,

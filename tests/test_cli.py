@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import subprocess
 import sys
 import tempfile
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from complement_opt import (
-    DegenerateOutcomeError,
     MeasurementBasis,
     Objective,
     OptimizationResult,
@@ -26,10 +26,30 @@ def run_cli(*args):
     return main(list(args))
 
 
-#: the two sampled checks that skip impossible records, at 40 samples
+#: the two sampled checks, at 40 samples
 SAMPLED_CHECKS = {
     "closure": lambda: verify._closure_check(40, 7, verify.complementarity_after),
     "projection": lambda: verify._projection_check(40, 7),
+}
+
+
+def _nan_field(field):
+    """A fault that sets ``field`` of the patched function's result to NaN."""
+    return lambda exact: lambda *args: dataclasses.replace(exact(*args), **{field: math.nan})
+
+
+#: check name -> (verify attribute, fault that makes one of its gaps NaN)
+NAN_FAULTS = {
+    "closure-after-measurement": ("complementarity_after", _nan_field("V")),
+    "evolution-dual-route": ("oracle_evolve", _nan_field("amp_b")),
+    "postselection-dual-route": (
+        "project_oracle", lambda exact: lambda *args: (exact(*args)[0], math.nan)
+    ),
+    "distinguishability-budget": ("per_qubit_distinguishability", lambda exact: lambda *args: math.nan),
+    "small-n-optimizer-reference": (
+        "grid_reference_maximum",
+        lambda exact: lambda cfg, n: {objective: (math.nan, ()) for objective in Objective},
+    ),
 }
 
 
@@ -433,33 +453,32 @@ class TestVerifyCommand:
         assert not verify._budget_check().passed
 
     @pytest.mark.parametrize("check", SAMPLED_CHECKS)
-    def test_sampled_check_fails_when_every_draw_is_skipped(self, monkeypatch, check):
-        # negative control: a check that evaluated no sample has no evidence to pass on
-        def impossible(*args):
-            raise DegenerateOutcomeError("every record impossible")
-
-        monkeypatch.setattr(verify, "gamma_coefficients", impossible)
-        result = SAMPLED_CHECKS[check]()
-        assert not result.passed
-        assert result.detail.startswith("40 samples (40 skipped")
-
-    @pytest.mark.parametrize("check", SAMPLED_CHECKS)
-    def test_sampled_check_names_its_skips(self, monkeypatch, check):
+    def test_sampled_check_evaluates_every_draw(self, monkeypatch, check):
         exact = verify.gamma_coefficients
         calls = []
 
-        def every_other(*args):
+        def counted(*args):
             calls.append(1)
-            if len(calls) % 2 == 0:
-                raise DegenerateOutcomeError("every other record impossible")
             return exact(*args)
 
-        monkeypatch.setattr(verify, "gamma_coefficients", every_other)
+        monkeypatch.setattr(verify, "gamma_coefficients", counted)
         result = SAMPLED_CHECKS[check]()
         assert result.passed
+        assert len(calls) == 40
         # the sample count leads and the statistic ends the detail
-        assert result.detail.startswith("40 samples (20 skipped")
-        assert float(result.detail.rsplit(" = ", 1)[1]) <= 1e-10
+        scope, statistic = result.detail.split(", max ")
+        assert scope == "40 samples"
+        assert float(statistic.rsplit(" = ", 1)[1]) <= 1e-10
+
+    @pytest.mark.parametrize("check", NAN_FAULTS)
+    def test_nan_gap_fails(self, monkeypatch, check):
+        # negative control: NaN compares false with every bound, so the pass
+        # rule must not let it through as a small gap
+        patched, fault = NAN_FAULTS[check]
+        monkeypatch.setattr(verify, patched, fault(getattr(verify, patched)))
+        result = next(r for r in verify.run_verification(samples=20, seed=5) if r.name == check)
+        assert not result.passed
+        assert result.detail.endswith(" = nan")
 
     def test_verify_deterministic_report(self, capsys):
         run_cli("verify", "--samples", "40", "--seed", "3")

@@ -8,11 +8,8 @@ from complement_opt import (
     ComplementarityTriple,
     NormalizationError,
     TwoQubitPure,
-    concurrence,
     distinguishability,
-    predictability,
     triple,
-    visibility,
 )
 from helpers import amplitudes, random_pure_pair, wootters_concurrence
 
@@ -28,14 +25,14 @@ def normalized(*amps) -> TwoQubitPure:
 
 class TestConcurrence:
     def test_bell_state(self):
-        assert concurrence(BELL) == pytest.approx(1.0, abs=1e-14)
+        assert triple(BELL).C == pytest.approx(1.0, abs=1e-14)
 
     def test_product_state(self):
-        assert concurrence(TwoQubitPure(1.0, 0.0, 0.0, 0.0)) == 0.0
+        assert triple(TwoQubitPure(1.0, 0.0, 0.0, 0.0)).C == 0.0
 
     def test_partially_entangled_reference_state(self):
         state = normalized(0.0, 0.29, 0.95, 0.0)
-        value = concurrence(state)
+        value = triple(state).C
         assert value == pytest.approx(0.55, abs=0.02)
         assert value == pytest.approx(2 * 0.29 * 0.95 / (0.29**2 + 0.95**2), abs=1e-14)
 
@@ -44,35 +41,35 @@ class TestConcurrence:
         for _ in range(50):
             state = random_pure_pair(rng)
             rho = np.outer(amplitudes(state), amplitudes(state).conj())
-            assert concurrence(state) == pytest.approx(
+            assert triple(state).C == pytest.approx(
                 wootters_concurrence(rho), abs=1e-7
             )
 
 
 class TestVisibility:
     def test_equal_superposition_on_a(self):
-        assert visibility(TwoQubitPure(SQRT1_2, 0.0, SQRT1_2, 0.0)) == pytest.approx(
+        assert triple(TwoQubitPure(SQRT1_2, 0.0, SQRT1_2, 0.0)).V == pytest.approx(
             1.0, abs=1e-14
         )
 
     def test_bell_state_has_no_local_coherence(self):
-        assert visibility(BELL) == pytest.approx(0.0, abs=1e-14)
+        assert triple(BELL).V == pytest.approx(0.0, abs=1e-14)
 
     def test_eraser_reference_state(self):
         state = normalized(0.61 - 0.35j, -0.50, -0.50, 0.0)
-        assert visibility(state) == pytest.approx(0.70, abs=0.01)
+        assert triple(state).V == pytest.approx(0.70, abs=0.01)
 
 
 class TestPredictability:
     def test_definite_upper_state(self):
-        assert predictability(TwoQubitPure(0.0, 0.0, 1.0, 0.0)) == 1.0
+        assert triple(TwoQubitPure(0.0, 0.0, 1.0, 0.0)).P == 1.0
 
     def test_balanced_populations(self):
-        assert predictability(BELL) == pytest.approx(0.0, abs=1e-14)
+        assert triple(BELL).P == pytest.approx(0.0, abs=1e-14)
 
     def test_reference_phase_state(self):
         state = normalized(-0.05 + 0.99j, 0.0, 0.0, 0.0)
-        assert predictability(state) == pytest.approx(1.0, abs=1e-12)
+        assert triple(state).P == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDistinguishability:
@@ -88,7 +85,7 @@ class TestDistinguishability:
         rng = np.random.default_rng(11)
         for _ in range(200):
             state = random_pure_pair(rng)
-            v = visibility(state)
+            v = triple(state).V
             assert distinguishability(state) == pytest.approx(
                 math.sqrt(max(0.0, 1.0 - v * v)), abs=1e-10
             )
@@ -135,24 +132,24 @@ class TestInvariances:
             state = random_pure_pair(rng)
             chi = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             rotated = TwoQubitPure(state.c00, state.c01, state.c10 * chi, state.c11 * chi)
-            assert predictability(state) == pytest.approx(
-                predictability(rotated), abs=1e-12
+            assert triple(state).P == pytest.approx(
+                triple(rotated).P, abs=1e-12
             )
-            assert concurrence(state) == pytest.approx(concurrence(rotated), abs=1e-12)
+            assert triple(state).C == pytest.approx(triple(rotated).C, abs=1e-12)
 
 
 class TestNormalization:
     def test_slightly_off_norm_is_renormalized(self):
         scale = 1.0 + 5e-7
-        assert concurrence(TwoQubitPure(0.0, SQRT1_2 * scale, SQRT1_2 * scale, 0.0)) == pytest.approx(
+        assert triple(TwoQubitPure(0.0, SQRT1_2 * scale, SQRT1_2 * scale, 0.0)).C == pytest.approx(
             1.0, abs=1e-6
         )
 
     def test_far_off_norm_raises(self):
         with pytest.raises(NormalizationError):
-            concurrence(TwoQubitPure(0.0, 0.5, 0.5, 0.0))
+            triple(TwoQubitPure(0.0, 0.5, 0.5, 0.0))
         with pytest.raises(NormalizationError):
-            visibility(TwoQubitPure(1.1, 0.0, 0.0, 0.0))
+            triple(TwoQubitPure(1.1, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     @pytest.mark.parametrize("slot", range(4))
@@ -160,7 +157,7 @@ class TestNormalization:
         amps = [0.0, SQRT1_2, SQRT1_2, 0.0]
         amps[slot] = bad
         state = TwoQubitPure(*amps)
-        for quantity in (concurrence, visibility, predictability, distinguishability, triple):
+        for quantity in (distinguishability, triple):
             with pytest.raises(NormalizationError):
                 quantity(state)
 
@@ -171,5 +168,4 @@ class TestNormalization:
         state = random_pure_pair(np.random.default_rng(16))
         t = triple(state)
         assert all(type(x) is float for x in (t.V, t.P, t.C, t.closure_residual))
-        for quantity in (concurrence, visibility, predictability, distinguishability):
-            assert type(quantity(state)) is float
+        assert type(distinguishability(state)) is float

@@ -33,7 +33,7 @@ from complement_opt.experiments import (
     run_uniform_sweep,
 )
 from complement_opt.collisions import continuous_limit_gap
-from helpers import exact_uniform_record
+from helpers import exact_record
 
 
 class TestPresets:
@@ -113,11 +113,11 @@ class TestUniformSweep:
         cfg = make_config(0.05, 2.0, 200)
         sweep = _sweep(cfg, 200, theta_steps=90)
         for j in (43, 45, 46):  # two steps below pi/2, pi/2, one step above
-            v2, p, c2, prob = exact_uniform_record(cfg.a, abs(cfg.b), sweep.thetas[j], 200)
+            v2, p, c2, prob = exact_record(cfg.a, abs(cfg.b), [(sweep.thetas[j], 0.0)] * 200)
             assert prob < 1e-300
-            assert sweep.V[-1, j] ** 2 == pytest.approx(float(v2), abs=1e-12)
-            assert sweep.P[-1, j] == pytest.approx(float(p), abs=1e-12)
-            assert sweep.C[-1, j] ** 2 == pytest.approx(float(c2), abs=1e-12)
+            assert sweep.V[-1, j] ** 2 == pytest.approx(v2, abs=1e-12)
+            assert sweep.P[-1, j] == pytest.approx(p, abs=1e-12)
+            assert sweep.C[-1, j] ** 2 == pytest.approx(c2, abs=1e-12)
 
     def test_strong_quarter_pi_gives_high_visibility(self, strong):
         sweep = _sweep(strong, 18, theta_steps=12)

@@ -1,12 +1,12 @@
+import cmath
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from complement_opt import (
-    DegenerateOutcomeError,
     DomainError,
     GammaTriple,
     MeasurementBasis,
@@ -23,10 +23,19 @@ from complement_opt import (
     per_qubit_distinguishability,
     postselected_state,
     project_oracle,
+    triple,
     uniform_gamma,
 )
+from complement_opt import measurement
+from complement_opt.experiments import preset_config
 from complement_opt.measurement import canonical_angles
-from helpers import dense_projection, orthogonal_pair_angles, random_basis, random_coupling
+from helpers import (
+    dense_projection,
+    exact_record,
+    orthogonal_pair_angles,
+    random_basis,
+    random_coupling,
+)
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -69,7 +78,7 @@ class TestMeasurementBasis:
 
 class TestGammaCoefficients:
     def test_empty_basis_returns_bell(self, strong):
-        gt = gamma_coefficients(strong, MeasurementBasis.empty(), 0)
+        gt = gamma_coefficients(strong, MeasurementBasis(()), 0)
         assert gt.gamma1 == 0.0
         assert gt.gamma2 == pytest.approx(SQRT1_2)
         assert gt.gamma3 == pytest.approx(SQRT1_2)
@@ -110,22 +119,23 @@ class TestGammaCoefficients:
 
     def test_degenerate_outcome(self, strong):
         # two probes at theta = pi/2 leave an improbable record, which is
-        # evaluated; with twenty the squared norm of the amplitudes underflows
-        # to 0.0, the one case that cannot be normalized
+        # evaluated; twenty leave one whose probability underflows to 0.0, and
+        # both routes still normalize it
         basis = MeasurementBasis.uniform(math.pi / 2.0, 0.0, 2)
         gt = gamma_coefficients(strong, basis, 2)
         pure, prob = project_oracle(oracle_evolve(strong, 2), basis)
         assert 0.0 < gt.outcome_probability < 1e-30
-        assert prob == pytest.approx(gt.outcome_probability, rel=1e-12)
+        assert prob == pytest.approx(gt.outcome_probability, rel=1e-12, abs=0.0)
         t = complementarity_after(gt)
         assert t.P == pytest.approx(1.0, abs=1e-12)
         assert abs(t.closure_residual) <= 1e-10
         assert abs(pure.c00 - postselected_state(gt).c00) <= 1e-12
         basis = MeasurementBasis.uniform(math.pi / 2.0, 0.0, 20)
-        with pytest.raises(DegenerateOutcomeError):
-            gamma_coefficients(strong, basis, 20)
-        with pytest.raises(DegenerateOutcomeError):
-            project_oracle(oracle_evolve(strong, 20), basis)
+        gt = gamma_coefficients(strong, basis, 20)
+        pure, prob = project_oracle(oracle_evolve(strong, 20), basis)
+        assert gt.outcome_probability == prob == 0.0
+        assert complementarity_after(gt).P == pytest.approx(1.0, abs=1e-12)
+        assert abs(pure.c10 - postselected_state(gt).c10) <= 1e-12
 
     def test_theta_pi_over_2_single_probe_is_regular(self, strong):
         gt = gamma_coefficients(strong, MeasurementBasis.uniform(math.pi / 2.0, 0.7, 1), 1)
@@ -167,16 +177,90 @@ class TestProjectOracle:
 
     def test_independent_of_batched_kernel(self, strong, monkeypatch):
         # negative control: a fault in the kernel's helper must open a gap
-        from complement_opt import measurement, verify
+        from complement_opt import verify
 
-        shared = measurement._exclusive_products
-        monkeypatch.setattr(measurement, "_exclusive_products", lambda alpha: [1.1 * x for x in shared(alpha)])
+        shared = measurement._running_products
+        monkeypatch.setattr(
+            measurement, "_running_products", lambda values: [(1.1 * p, e) for p, e in shared(values)]
+        )
         assert not verify._projection_check(300, 3).passed
         basis = MeasurementBasis.uniform(0.7, 0.3, 3)
         pure, _ = project_oracle(oracle_evolve(strong, 3), basis)
         expected = postselected_state(gamma_coefficients(strong, basis, 3))
         gaps = (pure.c00 - expected.c00, pure.c01 - expected.c01, pure.c10 - expected.c10)
         assert max(map(abs, gaps)) > 1e-3
+
+
+#: records whose products of alphas underflowed before they were rescaled:
+#: each true outcome probability lies below the smallest double
+UNDERFLOWING = {
+    "weak-20-at-half-pi": (preset_config("weak"), [(math.pi / 2.0, 0.0)] * 20),
+    "300-at-1.5": (make_config(0.05, 2.0, 300), [(1.5, 0.0)] * 300),
+    "400-cycling": (
+        make_config(0.05, 2.0, 400),
+        [((1.5, 0.3, math.pi / 2.0, 1.0)[i % 4], 0.7) for i in range(400)],
+    ),
+}
+
+#: doubles within 64 ulps of pi/2, where cos(theta) is about 1e-16 or less
+NEAR_HALF_PI = st.integers(-64, 64).map(lambda k: math.pi / 2.0 + k * math.ulp(math.pi / 2.0))
+
+
+def both_routes(cfg, angles):
+    """The kernel's GammaTriple and the oracle's (state, probability) of one record."""
+    basis = MeasurementBasis.from_angles(angles)
+    n = len(basis)
+    return gamma_coefficients(cfg, basis, n), project_oracle(oracle_evolve(cfg, n), basis)
+
+
+class TestRescaledProducts:
+    @pytest.mark.parametrize("record", UNDERFLOWING)
+    def test_underflowing_record_matches_exact_oracle(self, record):
+        cfg, angles = UNDERFLOWING[record]
+        v2, p, c2, prob = exact_record(cfg.a, abs(cfg.b), angles)
+        assert prob < 5e-324
+        gt, (pure, oracle_prob) = both_routes(cfg, angles)
+        assert gt.outcome_probability == oracle_prob == 0.0
+        for t in (complementarity_after(gt), triple(pure)):
+            assert t.V ** 2 == pytest.approx(v2, abs=1e-12)
+            assert t.P == pytest.approx(p, abs=1e-12)
+            assert t.C ** 2 == pytest.approx(c2, abs=1e-12)
+        state = postselected_state(gt)
+        assert all(map(cmath.isfinite, (state.c00, state.c01, state.c10)))
+        assert all(map(cmath.isfinite, (pure.c00, pure.c01, pure.c10)))
+
+    @pytest.mark.parametrize("preset", ["strong", "weak"])
+    def test_one_rescale_keeps_the_probability(self, preset):
+        # six probes at pi/2: |prod alpha| ~ 5e-98 crosses 2^-256 once, and the
+        # probability (below 1e-162) is still a double
+        cfg = preset_config(preset)
+        angles = [(math.pi / 2.0, 0.0)] * 6
+        assert measurement._running_products([math.cos(t) for t, _ in angles])[-1][1] == -256
+        prob = float(exact_record(cfg.a, abs(cfg.b), angles)[3])
+        gt, (_, oracle_prob) = both_routes(cfg, angles)
+        assert gt.outcome_probability == pytest.approx(prob, rel=1e-12, abs=0.0)
+        assert oracle_prob == pytest.approx(prob, rel=1e-12, abs=0.0)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.floats(0.01, 1.5),
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, math.pi, exclude_max=True), NEAR_HALF_PI),
+                st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_routes_agree_at_any_depth(self, g_dt, angles):
+        gt, (pure, _) = both_routes(make_config(40.0 * g_dt, 1.0, 40), angles)
+        for t in (complementarity_after(gt), triple(pure)):
+            assert all(map(math.isfinite, (t.V, t.P, t.C)))
+            assert abs(t.closure_residual) <= 1e-10
+        expected = postselected_state(gt)
+        assert abs(pure.c00 - expected.c00) <= 1e-10
+        assert abs(pure.c01 - expected.c01) <= 1e-10
+        assert abs(pure.c10 - expected.c10) <= 1e-10
 
 
 class TestProbabilityAccounting:
@@ -204,10 +288,7 @@ class TestProbabilityAccounting:
                 pairs[i] if not bits & (1 << i) else orthogonal_pair_angles(*pairs[i])
                 for i in range(n)
             ]
-            try:
-                _, prob = project_oracle(state, MeasurementBasis.from_angles(chosen))
-            except DegenerateOutcomeError:
-                continue
+            _, prob = project_oracle(state, MeasurementBasis.from_angles(chosen))
             total += prob
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -215,10 +296,7 @@ class TestProbabilityAccounting:
         rng = random.Random(24)
         for _ in range(100):
             cfg, n = random_coupling(rng, n_cap=10)
-            try:
-                gt = gamma_coefficients(cfg, random_basis(rng, n), n)
-            except DegenerateOutcomeError:
-                continue
+            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
             assert 0.0 < gt.outcome_probability <= 1.0 + 1e-12
 
 
@@ -244,7 +322,9 @@ class TestUniformGamma:
                     assert abs(tu.V - tg.V) <= 1e-12
                     assert abs(tu.P - tg.P) <= 1e-12
                     assert abs(tu.C - tg.C) <= 1e-12
-                    assert u.outcome_probability == pytest.approx(g.outcome_probability, rel=1e-12)
+                    assert u.outcome_probability == pytest.approx(
+                        g.outcome_probability, rel=1e-12, abs=0.0
+                    )
                     su, sg = postselected_state(u), postselected_state(g)
                     sign = 1.0 if math.cos(theta) > 0.0 or n % 2 else -1.0
                     assert abs(su.c00 - sign * sg.c00) <= 1e-12
@@ -263,20 +343,25 @@ class TestUniformGamma:
         gt = uniform_gamma(weak, math.pi / 2.0, 0.0, 4)
         per_probe = gamma_coefficients(weak, MeasurementBasis.uniform(math.pi / 2.0, 0.0, 4), 4)
         assert 0.0 < gt.outcome_probability < 1e-90
-        assert gt.outcome_probability == pytest.approx(per_probe.outcome_probability, rel=1e-12)
+        assert gt.outcome_probability == pytest.approx(
+            per_probe.outcome_probability, rel=1e-12, abs=0.0
+        )
         t = complementarity_after(gt)
         assert t.P == pytest.approx(1.0, abs=1e-12)
         assert abs(t.closure_residual) <= 1e-10
-        # at n = 20 the per-probe amplitudes underflow; the shared-basis ones do not
-        with pytest.raises(DegenerateOutcomeError):
-            gamma_coefficients(weak, MeasurementBasis.uniform(math.pi / 2.0, 0.0, 20), 20)
-        shared = complementarity_after(uniform_gamma(weak, math.pi / 2.0, 0.0, 20))
-        assert shared.P == pytest.approx(1.0, abs=1e-12)
+        # at n = 20 both routes' probabilities underflow to 0.0, and both
+        # still normalize the record
+        shared = uniform_gamma(weak, math.pi / 2.0, 0.0, 20)
+        per_probe = gamma_coefficients(weak, MeasurementBasis.uniform(math.pi / 2.0, 0.0, 20), 20)
+        assert shared.outcome_probability == per_probe.outcome_probability == 0.0
+        t, tp = complementarity_after(shared), complementarity_after(per_probe)
+        assert t.P == pytest.approx(1.0, abs=1e-12)
+        assert (tp.V, tp.P, tp.C) == pytest.approx((t.V, t.P, t.C), abs=1e-12)
 
 
 class TestComplementarityAfter:
     def test_no_measurement_bell(self, strong):
-        t = complementarity_after(gamma_coefficients(strong, MeasurementBasis.empty(), 0))
+        t = complementarity_after(gamma_coefficients(strong, MeasurementBasis(()), 0))
         assert (t.V, t.P, t.C) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
 
     def test_all_zero_basis_weak_20(self, weak):
@@ -301,22 +386,14 @@ class TestComplementarityAfter:
         rng = random.Random(26)
         for _ in range(300):
             cfg, n = random_coupling(rng, n_cap=12)
-            try:
-                gt = gamma_coefficients(cfg, random_basis(rng, n), n)
-            except DegenerateOutcomeError:
-                continue
+            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
             assert abs(complementarity_after(gt).closure_residual) <= 1e-10
 
     def test_matches_pure_state_route(self):
-        from complement_opt import triple
-
         rng = random.Random(27)
         for _ in range(100):
             cfg, n = random_coupling(rng, n_cap=8)
-            try:
-                gt = gamma_coefficients(cfg, random_basis(rng, n), n)
-            except DegenerateOutcomeError:
-                continue
+            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
             direct = complementarity_after(gt)
             via_state = triple(postselected_state(gt))
             assert direct.V == pytest.approx(via_state.V, abs=1e-10)
@@ -362,7 +439,7 @@ class TestDeltaD:
 
     def test_total_dust_window(self):
         # only float dust below 0 is read as V = 0; a small real V is kept
-        assert delta_d_total(5e-4) == pytest.approx(math.sqrt(1 - 2.5e-7) - 1, rel=1e-9)
+        assert delta_d_total(5e-4) == pytest.approx(math.sqrt(1 - 2.5e-7) - 1, rel=1e-9, abs=0.0)
         assert delta_d_total(-5e-13) == 0.0
 
     @pytest.mark.parametrize("v", [-0.5, 1.5, -2e-12, 1 + 2e-12])
