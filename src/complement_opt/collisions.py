@@ -21,15 +21,14 @@ rotation (``oracle_evolve``); the two must agree amplitude by amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
+class CouplingConfig(NamedTuple):
     """Physical parameters of the collision sequence and derived constants.
 
     g        coupling strength (inverse time)
@@ -86,8 +85,7 @@ def make_config(g: float, T: float, N_total: int) -> CouplingConfig:
     )
 
 
-@dataclass(frozen=True)
-class ExcitationState:
+class ExcitationState(NamedTuple):
     """Pure global state after ``n`` collisions, single-excitation sector.
 
     amp_b   amplitude of |0_A> |0...0> |1_B>   (excitation still on B)

@@ -18,7 +18,7 @@ finite, or is off 1 by more than ``NORM_TOLERANCE``, raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NormalizationError
 
@@ -27,8 +27,7 @@ from .errors import NormalizationError
 NORM_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class TwoQubitPure:
+class TwoQubitPure(NamedTuple):
     """Amplitudes of a pure two-qubit state, |00>, |01>, |10>, |11> order."""
 
     c00: complex
@@ -37,8 +36,7 @@ class TwoQubitPure:
     c11: complex = 0.0
 
 
-@dataclass(frozen=True)
-class ComplementarityTriple:
+class ComplementarityTriple(NamedTuple):
     """Visibility, predictability and concurrence, plus the closure residual
     V^2 + P^2 + C^2 - 1."""
 

@@ -6,9 +6,11 @@ them), so callers can post-process or plot them as they like and
 named study with its CSV header and the :class:`ExperimentSpec` fields it
 reads; ``run_experiment`` looks a spec up there and persists one CSV plus a
 JSON manifest recording exactly those fields and the versions used.  One rule,
-``_fmt``, turns each value into CSV cells; floats get 17 significant digits,
-so identical spec reruns are byte-identical.  The manifest additionally
-records wall time and is therefore excluded from that guarantee.
+``_fmt``, turns each value into CSV cells: a float cell has 17 significant
+digits, whichever path writes it, so identical spec reruns are
+byte-identical.  A file whose first row holds only ints and floats is written
+with one %-format per row that applies the same rule.  The manifest
+additionally records wall time and is therefore excluded from that guarantee.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -57,8 +58,7 @@ def preset_config(name: str) -> CouplingConfig:
     return make_config(**PRESETS[name])
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     """Declarative description of one study.
 
     ``preset`` is a label used for file naming and the manifest; ``cfg`` is
@@ -210,8 +210,7 @@ def run_continuous_limit_convergence(
 # ---------------------------------------------------------------------------
 # registry and persistence
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """A named study: a function of the spec returning its CSV rows, the CSV
     header, and the :class:`ExperimentSpec` fields that function reads.  Those
     fields are what its manifest records; a study that reads ``cfg`` or
@@ -262,7 +261,8 @@ EXPERIMENTS: dict[str, Experiment] = {
 
 
 def _fmt(x) -> str:
-    """The CSV cells of one value: a float has 17 significant digits, a
+    """The CSV cells of one value.  A float cell has 17 significant digits
+    (``.17g``), whichever path writes it, this one or ``_row_format``'s; a
     complex is two cells (real, then imaginary), a tuple is one
     space-separated cell, anything else is ``str``."""
     if isinstance(x, float):
@@ -274,11 +274,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
+#: %-format of a cell by its exact type (a bool is no int here), writing what ``_fmt`` writes
+_CELL_FORMATS = {int: "%d", float: "%.17g"}
+
+
+def _row_format(row: Sequence) -> str | None:
+    """One %-format that writes a tuple of ``row``'s cell types as ``_fmt``
+    does, or None unless ``row`` is a tuple of ints and floats only."""
+    if not isinstance(row, tuple) or not all(type(x) in _CELL_FORMATS for x in row):
+        return None
+    return ",".join(_CELL_FORMATS[type(x)] for x in row)
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the CSV, creating its directory only once every row is computed."""
+    """Write the CSV, creating its directory only once every row is computed.
+
+    The first row fixes how every row is written: with one %-format when it
+    holds only ints and floats, else cell by cell with ``_fmt``.  Each study
+    yields one type per column, so the first row's types are every row's.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        row_format = _row_format(first)
+        if row_format is None:
+            lines.append(",".join(map(_fmt, first)))
+            lines.extend(",".join(map(_fmt, row)) for row in rows)
+        else:
+            lines.append(row_format % first)
+            lines.extend(map(row_format.__mod__, rows))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

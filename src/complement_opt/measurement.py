@@ -36,8 +36,7 @@ double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .collisions import CouplingConfig, ExcitationState, distinguishability_ab
 from .complementarity import ComplementarityTriple, TwoQubitPure
@@ -71,11 +70,17 @@ def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     return theta, phi
 
 
-@dataclass(frozen=True)
 class MeasurementBasis:
-    """Ordered projection angles (theta_i, phi_i), one pair per measured probe."""
+    """Ordered projection angles (theta_i, phi_i), one pair per measured probe.
 
-    angles: tuple[tuple[float, float], ...]
+    A plain slotted class, not a tuple, so that ``len(basis)`` counts the
+    angle pairs; two bases are compared through their ``angles``.
+    """
+
+    __slots__ = ("angles",)
+
+    def __init__(self, angles: tuple[tuple[float, float], ...]) -> None:
+        self.angles = angles
 
     @classmethod
     def from_angles(cls, pairs: Iterable[Sequence[float]]) -> "MeasurementBasis":
@@ -89,8 +94,7 @@ class MeasurementBasis:
         return len(self.angles)
 
 
-@dataclass(frozen=True)
-class GammaTriple:
+class GammaTriple(NamedTuple):
     """Unnormalized post-selected pair amplitudes, up to a common nonzero real
     factor, and the outcome probability.  The factor of ``gamma_coefficients``
     is 1, or 2^(256 k) once its product of alphas was rescaled k times."""
@@ -107,7 +111,6 @@ def _make_gamma(
     """The amplitudes and their probability, ``scale`` * 2^``exponent`` times
     their squared norm."""
     norm_sq = abs(g1) ** 2 + abs(g2) ** 2 + abs(g3) ** 2
-    # positional: a frozen dataclass takes keywords measurably slower per record
     return GammaTriple(
         complex(g1), complex(g2), complex(g3), math.ldexp(scale * norm_sq, exponent)
     )
@@ -211,10 +214,11 @@ def uniform_gamma(
     theta, phi = canonical_angles(theta, phi)
     alpha = math.cos(theta)
     beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
-    geometric = float(n) if cfg.a == 1.0 else (cfg.a ** n - 1.0) / (cfg.a - 1.0)
+    a_n = cfg.a ** n
+    geometric = float(n) if cfg.a == 1.0 else (a_n - 1.0) / (cfg.a - 1.0)
     g3 = _SQRT1_2 * alpha
     return _make_gamma(
-        cfg.b * _SQRT1_2 * beta * geometric, cfg.a ** n * g3, g3, (alpha * alpha) ** (n - 1)
+        cfg.b * _SQRT1_2 * beta * geometric, a_n * g3, g3, (alpha * alpha) ** (n - 1)
     )
 
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .collisions import CouplingConfig, distinguishability_ab, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
@@ -62,8 +62,7 @@ class Objective(Enum):
     CONCURRENCE = "concurrence"
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     objective: Objective
     n: int
     basis: MeasurementBasis

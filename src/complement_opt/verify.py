@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .collisions import distinguishability_ab, evolve_closed_form, make_config, oracle_evolve
 from .errors import ConfigError
@@ -38,8 +38,7 @@ from .optimize import grid_reference_maximum, maximize, objective_value
 from .experiments import PRESETS, preset_config
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -66,7 +65,7 @@ def _random_basis(rng: random.Random, n) -> MeasurementBasis:
 def _sign_fault(gt: GammaTriple):
     """``complementarity_after`` with the sign of the |gamma2|^2 term in P flipped."""
     m1, m2, m3 = (abs(g) ** 2 for g in (gt.gamma1, gt.gamma2, gt.gamma3))
-    return replace(complementarity_after(gt), P=abs(m3 - m1 + m2) / (m1 + m2 + m3))
+    return complementarity_after(gt)._replace(P=abs(m3 - m1 + m2) / (m1 + m2 + m3))
 
 
 def _check(

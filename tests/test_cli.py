@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -35,7 +34,7 @@ SAMPLED_CHECKS = {
 
 def _nan_field(field):
     """A fault that sets ``field`` of the patched function's result to NaN."""
-    return lambda exact: lambda *args: dataclasses.replace(exact(*args), **{field: math.nan})
+    return lambda exact: lambda *args: exact(*args)._replace(**{field: math.nan})
 
 
 #: check name -> (verify attribute, fault that makes one of its gaps NaN)
@@ -405,7 +404,7 @@ class TestVerifyCommand:
 
         def faulty(gt):
             t = true_triple(gt)
-            return dataclasses.replace(t, C=t.C * 1.01)
+            return t._replace(C=t.C * 1.01)
 
         monkeypatch.setattr(verify, "complementarity_after", faulty)
         assert run_cli("verify", "--samples", "40", "--seed", "7") == 1
@@ -440,7 +439,7 @@ class TestVerifyCommand:
             state = exact(cfg, n)
             if not n:
                 return state
-            return dataclasses.replace(state, amp_r=(*state.amp_r[:-1], 1.001 * state.amp_r[-1]))
+            return state._replace(amp_r=(*state.amp_r[:-1], 1.001 * state.amp_r[-1]))
 
         monkeypatch.setattr(verify, "oracle_evolve", scaled)
         assert not verify._evolution_check(0).passed

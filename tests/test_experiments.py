@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import math
@@ -6,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from complement_opt import (
     ConfigError,
@@ -327,7 +327,7 @@ class TestRunExperiment:
     def test_registry_states_each_study_once(self):
         # an entry records exactly the spec fields its rows read, and the
         # studies take every value from the spec, whose defaults are the only ones
-        spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        spec_fields = set(ExperimentSpec._fields)
         studies = set()
         for name, entry in EXPERIMENTS.items():
             names = set(entry.rows.__code__.co_names)
@@ -355,3 +355,65 @@ class TestRunExperiment:
         if name == "quantity-vs-n":
             for row in rows:
                 assert len(row["angles"].split(" ")) == 2 * int(row["n"])
+
+
+#: doubles at the ends of the range and one that needs all 17 digits
+EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2,
+)
+CELLS = {
+    int: st.integers(-2**63, 2**63),
+    float: st.floats() | st.sampled_from(EDGE_FLOATS),
+    str: st.text("abz-_", min_size=1),
+    complex: st.complex_numbers(),
+    tuple: st.lists(st.floats(), max_size=3).map(tuple),
+    bool: st.booleans(),
+}
+
+
+@st.composite
+def csv_files(draw):
+    """(header, rows) with one cell type per column, as the studies yield them:
+    ints and floats, sometimes with one str, complex, tuple or bool column
+    among them (``_fmt`` writes a bool as True or False, %d as 1 or 0)."""
+    types = draw(st.lists(st.sampled_from((int, float)), min_size=1, max_size=6))
+    other = draw(st.none() | st.sampled_from((str, complex, tuple, bool)))
+    if other is not None:
+        types.insert(draw(st.integers(0, len(types))), other)
+    rows = draw(st.lists(st.tuples(*(CELLS[t] for t in types)), max_size=8))
+    return [f"c{i}" for i in range(len(types))], rows
+
+
+COUPLINGS = {
+    "strong": preset_config("strong"),
+    "weak": preset_config("weak"),
+    # a = 1.0: uniform_gamma's float(n) branch
+    "uncoupled": make_config(0.0, 1.0, 20),
+    # g*dt one ulp below pi/2: a ~ 6e-17
+    "near-swap": make_config(math.nextafter(math.pi / 2.0, 0.0), 20.0, 20),
+}
+
+
+class TestCsvFormat:
+    @settings(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_files())
+    def test_every_row_is_written_as_fmt_writes_it(self, tmp_path, file):
+        header, rows = file
+        path = tmp_path / "rows.csv"
+        experiments._write_csv(path, header, iter(rows))
+        lines = [",".join(header), *(",".join(map(experiments._fmt, row)) for row in rows)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_each_column_holds_one_type(self, name, coupling):
+        # the first row fixes every row's format: a float in an int column would
+        # be truncated by %d
+        cfg = COUPLINGS[coupling]
+        for objective in Objective:
+            spec = ExperimentSpec(
+                name=name, cfg=cfg, preset=coupling, objective=objective, n_max=cfg.N_total,
+            )
+            types = {tuple(map(type, row)) for row in EXPERIMENTS[name].rows(spec)}
+            assert len(types) == 1, (objective, types)
