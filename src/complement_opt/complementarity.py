@@ -46,8 +46,9 @@ class ComplementarityTriple(NamedTuple):
     closure_residual: float
 
 
-def _unit_amplitudes(state: TwoQubitPure) -> tuple[complex, complex, complex, complex]:
-    """The four amplitudes as Python complex numbers, divided by the state's norm."""
+def triple(state: TwoQubitPure) -> ComplementarityTriple:
+    """V, P and C from one normalization of the state: the four amplitudes are
+    taken as Python complex numbers and divided by the state's norm."""
     c00, c01 = complex(state.c00), complex(state.c01)
     c10, c11 = complex(state.c10), complex(state.c11)
     norm = math.sqrt(abs(c00) ** 2 + abs(c01) ** 2 + abs(c10) ** 2 + abs(c11) ** 2)
@@ -56,12 +57,7 @@ def _unit_amplitudes(state: TwoQubitPure) -> tuple[complex, complex, complex, co
         raise NormalizationError(
             f"state norm {norm:.9g} deviates from 1 beyond {NORM_TOLERANCE:g}"
         )
-    return c00 / norm, c01 / norm, c10 / norm, c11 / norm
-
-
-def triple(state: TwoQubitPure) -> ComplementarityTriple:
-    """V, P and C from one normalization of the state."""
-    c00, c01, c10, c11 = _unit_amplitudes(state)
+    c00, c01, c10, c11 = c00 / norm, c01 / norm, c10 / norm, c11 / norm
     v = 2.0 * abs(c00 * c10.conjugate() + c01 * c11.conjugate())
     p = abs((abs(c10) ** 2 + abs(c11) ** 2) - (abs(c00) ** 2 + abs(c01) ** 2))
     c = 2.0 * abs(c00 * c11 - c01 * c10)

@@ -35,6 +35,7 @@ double.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -54,6 +55,10 @@ _TINY = 1.0 / _RESCALE
 
 def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map angles into [0, pi) x [0, 2 pi); the projector is unchanged."""
+    # fmod returns an in-range value unchanged, as a float; NaN fails these tests and
+    # is rejected below
+    if 0.0 <= theta < math.pi and 0.0 <= phi < _TWO_PI:
+        return float(theta), float(phi)
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
     # a tiny negative angle can round up to the excluded edge, the same projector as 0
@@ -84,7 +89,7 @@ class MeasurementBasis:
 
     @classmethod
     def from_angles(cls, pairs: Iterable[Sequence[float]]) -> "MeasurementBasis":
-        return cls(tuple(canonical_angles(t, p) for t, p in pairs))
+        return cls(tuple(itertools.starmap(canonical_angles, pairs)))
 
     @classmethod
     def uniform(cls, theta: float, phi: float, n: int) -> "MeasurementBasis":
@@ -178,14 +183,15 @@ def project_oracle(
     times 2^-e, e lowered by 256 whenever the product of alphas drops below
     2^-256, so they never underflow.
     """
-    if len(basis) != state.n:
+    angles = basis.angles
+    if len(angles) != state.n:
         raise RangeError(
-            f"basis supplies {len(basis)} angle pairs but the state has n={state.n}"
+            f"basis supplies {len(angles)} angle pairs but the state has n={state.n}"
         )
     c00 = 0j
     prod_alpha = 1.0  # alpha_j of the probes projected so far
     e = 0
-    for (theta, phi), amp in zip(basis.angles, state.amp_r):
+    for (theta, phi), amp in zip(angles, state.amp_r):
         alpha = math.cos(theta)
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
         c00 = alpha * c00 + beta * amp * prod_alpha

@@ -26,16 +26,20 @@ probe's (theta, phi) by (pi - theta, phi + pi) flips the sign of every gamma,
 so each theta axis covers only the closed half period [0, pi/2] (pi/2 is kept:
 P = 1 sits there).  With 15 degree steps that gives a grid of 7 points at
 n = 1 and 7 x 7 x 24 = 1,176 at n = 2, then, for each objective, a compass
-search from each of its 8 leading points over those same angles.  Every value,
-on the grid and in the search, goes through one route: ``oracle_evolve``,
-``project_oracle`` (a sequential per-probe projection that shares no helper
-with ``gamma_coefficients``) and ``complementarity.triple``, so an error in
-the library's post-selection kernel cannot reach it.  One call serves all
-three objectives from one collision state: the triple at each exact free-angle
-tuple is computed once and kept in a dict local to the call, so the objectives
-share every point and nothing is kept across calls.  Each objective's value
-and angles are returned as Python floats; the angles are the canonical ones
-(``canonical_angles``) at which the value was computed.
+search from each of its 8 leading points over those same angles; a search
+stops once its best value reaches 1, the ceiling of V, P and C, or its step
+falls below 1e-9 rad.  Every value, on the grid and in the search, goes
+through one route: ``oracle_evolve``, ``project_oracle`` (a sequential
+per-probe projection that shares no helper with ``gamma_coefficients``) and
+``complementarity.triple``, so an error in the library's post-selection
+kernel cannot reach it.  One call serves all three objectives from one
+collision state: the triple of each projector is computed once and kept in a
+dict local to the call, so the objectives share every point and nothing is
+kept across calls.  The dict is keyed by the exact free angles and, where
+some theta_i (i >= 2) is 0, also by the same angles with that phi_i = 0: at
+theta = 0 a probe is projected on |0> whatever its phi.  Each objective's
+value and angles are returned as Python floats; the angles are the canonical
+ones (``canonical_angles``) at which the value was computed.
 """
 from __future__ import annotations
 
@@ -62,6 +66,11 @@ class Objective(Enum):
     CONCURRENCE = "concurrence"
 
 
+#: the ComplementarityTriple field of each objective; Objective lists them in
+#: the triple's order (V, P, C)
+_FIELD = {objective: i for i, objective in enumerate(Objective)}
+
+
 class OptimizationResult(NamedTuple):
     objective: Objective
     n: int
@@ -71,11 +80,7 @@ class OptimizationResult(NamedTuple):
 
 
 def objective_value(t: ComplementarityTriple, objective: Objective) -> float:
-    if objective is Objective.VISIBILITY:
-        return t.V
-    if objective is Objective.PREDICTABILITY:
-        return t.P
-    return t.C
+    return t[_FIELD[objective]]
 
 
 def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationResult:
@@ -122,6 +127,8 @@ _REFERENCE_STEP_DEG = 15.0
 _POLISHED = 8
 #: the compass search stops once its step falls below this many radians
 _POLISH_STOP = 1e-9
+#: V, P and C of a normalized state never exceed 1, so no move can beat a best of 1
+_POLISH_CEILING = 1.0
 
 
 def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple[float, tuple]]:
@@ -135,9 +142,12 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple
     n = 2).  Every value, on the grid and in the polish, comes from the
     sequential-collision state, the direct projection route and the
     pure-state formulas, so it is independent of both the post-selection
-    kernel and the closed form in ``maximize``.  One pass serves all three
-    objectives: the triple at each free-angle tuple is computed once and kept
-    in a dict local to the call, so nothing is kept across calls.  Supports
+    kernel and the closed form in ``maximize``.  A polish stops once its best
+    value reaches 1, the ceiling of V, P and C, or its step falls below 1e-9
+    rad.  One pass serves all three objectives: the triple of each projector
+    is computed once and kept in a dict local to the call, keyed by the free
+    angles and, where some theta_i (i >= 2) is 0, by the same angles with that
+    phi_i = 0 too, so nothing is kept across calls.  Supports
     n <= 2.  Returns {objective: (value, angles)} with angles as n canonical
     (theta, phi) pairs in [0, pi) x [0, 2 pi).
     """
@@ -145,29 +155,39 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple
     if n > 2:
         raise DomainError(f"grid reference supports n <= 2, got n={n}")
     state = oracle_evolve(cfg, n)
-    # exact free angles -> triple, shared by the three objectives; an unrounded key
-    # makes a hit return exactly what a miss would compute
+    # free angles and their projector keys (see value) -> triple, shared by the three
+    # objectives; an unrounded key makes a hit return exactly what a miss would compute
     triples: dict[tuple, ComplementarityTriple] = {}
 
     def basis(free: tuple) -> MeasurementBasis:
         return MeasurementBasis.from_angles(zip(free[:n], (0.0, *free[n:])))
 
-    def value(free: tuple, objective: Objective) -> float:
+    def value(free: tuple, field: int) -> float:
         t = triples.get(free)
         if t is None:
-            pure, _ = project_oracle(state, basis(free))
-            t = triples[free] = pure_triple(pure)
-        return objective_value(t, objective)
+            key = free
+            if 0.0 in free[1:n]:
+                # at theta_i = 0, beta_i is a complex of signed zeros that adds only +-0
+                # to c00, and the triple reads moduli: it has the same bits for every phi_i
+                key = free[:n] + tuple(
+                    0.0 if theta == 0.0 else phi for theta, phi in zip(free[1:n], free[n:])
+                )
+                t = triples.get(key)
+            if t is None:
+                pure, _ = project_oracle(state, basis(free))
+                t = triples[key] = pure_triple(pure)
+            triples[free] = t
+        return t[field]
 
     step = math.radians(_REFERENCE_STEP_DEG)
 
-    def polish(free: tuple, objective: Objective) -> tuple[float, tuple]:
+    def polish(free: tuple, field: int) -> tuple[float, tuple]:
         # compass search: it accepts only improvements, so it never ends below its start
-        best, h = value(free, objective), step
-        while h >= _POLISH_STOP:
+        best, h = value(free, field), step
+        while h >= _POLISH_STOP and best < _POLISH_CEILING:
             for i, move in itertools.product(range(len(free)), (h, -h)):
                 trial = free[:i] + (free[i] + move,) + free[i + 1:]
-                trial_value = value(trial, objective)
+                trial_value = value(trial, field)
                 if trial_value > best:
                     free, best = trial, trial_value
                     break
@@ -182,10 +202,10 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple
     # at n = 0 the product over no axes yields one point, the empty one
     grid = list(itertools.product(*[thetas] * n, *[phis] * (n - 1)))
 
-    def search(objective: Objective) -> tuple[float, tuple]:
-        starts = heapq.nlargest(_POLISHED, grid, key=lambda free: value(free, objective))
-        best, free = max((polish(free, objective) for free in starts), key=lambda r: r[0])
+    def search(field: int) -> tuple[float, tuple]:
+        starts = heapq.nlargest(_POLISHED, grid, key=lambda free: value(free, field))
+        best, free = max((polish(free, field) for free in starts), key=lambda r: r[0])
         # the canonical angles are exactly the ones value evaluated
         return best, basis(free).angles
 
-    return {objective: search(objective) for objective in Objective}
+    return {objective: search(_FIELD[objective]) for objective in Objective}

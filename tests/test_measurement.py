@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -40,6 +41,23 @@ from helpers import (
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
+def fmod_canonical_angles(theta, phi):
+    """``canonical_angles`` with no fast path for angles already in range."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+    theta = math.fmod(theta, math.pi)
+    if theta < 0.0:
+        theta += math.pi
+        if theta == math.pi:
+            theta = 0.0
+    phi = math.fmod(phi, 2.0 * math.pi)
+    if phi < 0.0:
+        phi += 2.0 * math.pi
+        if phi == 2.0 * math.pi:
+            phi = 0.0
+    return theta, phi
+
+
 class TestMeasurementBasis:
     def test_canonicalization(self):
         theta, phi = canonical_angles(-0.1, 7.0)
@@ -61,6 +79,20 @@ class TestMeasurementBasis:
         before = np.array([math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta)])
         after = np.array([math.cos(t), complex(math.cos(p), math.sin(p)) * math.sin(t)])
         assert min(np.abs(after - before).max(), np.abs(after + before).max()) <= 1e-12
+
+    def test_fast_path_matches_fmod_path(self):
+        edges = [
+            0.0, -0.0, 5e-324, -5e-324, -1e-300, 0.3, 3.0, 6.0,
+            math.pi, math.nextafter(math.pi, 0.0),
+            2.0 * math.pi, math.nextafter(2.0 * math.pi, 0.0), 1e300, -1e300,
+        ]
+        for theta, phi in itertools.product(edges, repeat=2):
+            fast = canonical_angles(theta, phi)
+            assert [x.hex() for x in fast] == [x.hex() for x in fmod_canonical_angles(theta, phi)]
+        for bad in (math.nan, math.inf, -math.inf):
+            for theta, phi in ((bad, 0.3), (0.3, bad), (bad, bad)):
+                with pytest.raises(DomainError, match="finite"):
+                    canonical_angles(theta, phi)
 
     @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 0.0)])
     def test_non_finite_angles_rejected(self, strong, theta, phi):
@@ -174,6 +206,46 @@ class TestProjectOracle:
             basis = MeasurementBasis.from_angles(angles)
             assert 0.0 < dense_projection(state, basis)[1] < 1e-30
             assert_matches_dense(state, basis)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.floats(0.01, 1.5),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, math.pi, exclude_max=True),
+                st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.data(),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_theta_zero_projector_ignores_phi(self, g_dt, angles, data, phi):
+        # the premise of the grid reference's projector key: a probe at theta = 0
+        # is projected on |0> whatever its phi, bit for bit
+        n = len(angles)
+        state = oracle_evolve(make_config(n * g_dt, 1.0, n), n)
+        i = data.draw(st.integers(0, n - 1))
+
+        def bits(theta, probe_phi):
+            chosen = list(angles)
+            chosen[i] = (theta, probe_phi)
+            pure, _ = project_oracle(state, MeasurementBasis.from_angles(chosen))
+            return [x.hex() for x in triple(pure)]
+
+        for theta in (0.0, -0.0):
+            assert bits(theta, phi) == bits(theta, 0.0)
+
+    def test_theta_away_from_zero_feels_phi(self, strong):
+        # negative control for the property above: at theta = 0.3 the phase of
+        # the second probe moves the triple
+        state = oracle_evolve(strong, 2)
+        triples = set()
+        for phi in (0.0, 1.0, 2.0):
+            pure, _ = project_oracle(state, MeasurementBasis.from_angles([(0.7, 0.0), (0.3, phi)]))
+            triples.add(triple(pure))
+        assert len(triples) == 3
 
     def test_independent_of_batched_kernel(self, strong, monkeypatch):
         # negative control: a fault in the kernel's helper must open a gap

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from complement_opt import (
+    ComplementarityTriple,
     DomainError,
     MeasurementBasis,
     Objective,
@@ -77,6 +78,14 @@ class TestMaximizeBasics:
                         gt = gamma_coefficients(cfg, random_basis(rng, n), n)
                         value = objective_value(complementarity_after(gt), objective)
                         assert value <= best + 1e-12
+
+    def test_objectives_follow_the_triple_fields(self):
+        # objective_value and the grid reference read the triple field at Objective's position
+        assert tuple(o.name[0] for o in Objective) == ComplementarityTriple._fields[:3] == (
+            "V", "P", "C"
+        )
+        t = ComplementarityTriple(0.1, 0.2, 0.3, 0.4)
+        assert [objective_value(t, o) for o in Objective] == [0.1, 0.2, 0.3]
 
     def test_zero_coupling_keeps_the_bell_pair(self):
         cfg = make_config(0.0, 1.0, 4)
@@ -315,9 +324,11 @@ class TestGridReference:
         assert value == pytest.approx(analytic_visibility_max(strong, 1), abs=1e-6)
 
     def test_one_pass_serves_every_objective(self, weak, monkeypatch):
-        # each free-angle tuple is projected once per call: weak n = 2 took
-        # 12,225 projections as three per-objective searches; a second call
-        # repeats them all, so nothing is kept across calls
+        # each projector is projected once per call: weak n = 2 took 12,225
+        # projections as three per-objective searches and 5,976 as one pass keyed
+        # by the free angles; keyed by projector, with a polish stopping at the
+        # ceiling 1, it takes 3,678.  A second call repeats them all, so nothing
+        # is kept across calls
         from complement_opt import optimize
 
         calls = []
@@ -327,7 +338,9 @@ class TestGridReference:
         )
         first = grid_reference_maximum(weak, 2)
         once = len(calls)
-        assert 0 < once <= 12_225 // 2
+        assert once == 3_678
+        # P's leading grid point already reads 1, so its polish returns it unmoved
+        assert first[Objective.PREDICTABILITY] == (1.0, ((0.0, 0.0), (math.pi / 2.0, 0.0)))
         assert grid_reference_maximum(weak, 2) == first
         assert len(calls) == 2 * once
 
