@@ -20,7 +20,6 @@ from .collisions import (
 from .complementarity import (
     ComplementarityTriple,
     TwoQubitPure,
-    distinguishability,
     triple,
 )
 from .errors import (
@@ -63,7 +62,6 @@ __all__ = [
     "continuous_limit_gap",
     "TwoQubitPure",
     "ComplementarityTriple",
-    "distinguishability",
     "triple",
     "MeasurementBasis",
     "GammaTriple",

@@ -10,10 +10,9 @@ qubit A, second qubit B):
 
 Every normalized pure state satisfies the closure identity
 V^2 + P^2 + C^2 = 1, which doubles as a cheap self-test of any pipeline that
-produces such states.  Each function normalizes the amplitudes once, in
-plain complex arithmetic, and returns a Python float; a norm that is not
-finite, or is off 1 by more than ``NORM_TOLERANCE``, raises
-``NormalizationError``.
+produces such states.  ``triple`` normalizes the amplitudes once, in plain
+complex arithmetic, and returns Python floats; a norm that is not finite, or
+is off 1 by more than ``NORM_TOLERANCE``, raises ``NormalizationError``.
 """
 from __future__ import annotations
 
@@ -62,9 +61,3 @@ def triple(state: TwoQubitPure) -> ComplementarityTriple:
     p = abs((abs(c10) ** 2 + abs(c11) ** 2) - (abs(c00) ** 2 + abs(c01) ** 2))
     c = 2.0 * abs(c00 * c11 - c01 * c10)
     return ComplementarityTriple(v, p, c, v * v + p * p + c * c - 1.0)
-
-
-def distinguishability(state: TwoQubitPure) -> float:
-    """Total which-path information, sqrt(C^2 + P^2) = sqrt(1 - V^2)."""
-    t = triple(state)
-    return math.hypot(t.C, t.P)

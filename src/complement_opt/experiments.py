@@ -5,17 +5,18 @@ them), so callers can post-process or plot them as they like and
 ``run_experiment`` writes them as they come.  ``EXPERIMENTS`` registers every
 named study with its CSV header and the :class:`ExperimentSpec` fields it
 reads; ``run_experiment`` looks a spec up there and persists one CSV plus a
-JSON manifest recording exactly those fields and the versions used.  One rule,
-``_fmt``, turns each value into CSV cells: a float cell has 17 significant
-digits, whichever path writes it, so identical spec reruns are
-byte-identical.  A file whose first row holds only ints and floats is written
-with one %-format per row that applies the same rule.  The manifest
-additionally records wall time and is therefore excluded from that guarantee.
+JSON manifest recording exactly those fields and the versions used.  Every
+row is flat: each cell is an int, a float or a str, one type per column, and
+a file is written with one %-format built from its first row's cell types.
+A float cell has 17 significant digits (``_FLOAT``), so identical spec reruns
+are byte-identical.  The manifest additionally records wall time and is
+therefore excluded from that guarantee.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 import platform
 import time
 from pathlib import Path
@@ -51,6 +52,9 @@ TABLE_NS = (1, 2, 10)
 
 DEFAULT_OUT = "results"
 
+#: %-format of every float the CSVs hold: 17 significant digits round-trip a double
+_FLOAT = "%.17g"
+
 
 def preset_config(name: str) -> CouplingConfig:
     if name not in PRESETS:
@@ -84,7 +88,10 @@ class ExperimentSpec(NamedTuple):
 
 
 class CurveRecord(NamedTuple):
-    """One optimized point of a quantity-vs-n study, in CSV column order."""
+    """One optimized point of a quantity-vs-n study, in CSV column order.
+
+    ``angles`` is one cell: the basis's 2n angles (theta_1, phi_1, ...,
+    theta_n, phi_n), each written with ``_FLOAT``, joined by spaces."""
 
     n: int
     V: float
@@ -92,7 +99,7 @@ class CurveRecord(NamedTuple):
     C: float
     reservoir_C: float
     outcome_probability: float
-    angles: tuple[float, ...]
+    angles: str
 
 
 def run_quantity_vs_n(
@@ -109,7 +116,7 @@ def run_quantity_vs_n(
     for result in curve(cfg, objective, n_max):
         t = result.achieved
         reservoir_C = reservoir_limit_concurrence(k, result.n * cfg.dt)
-        angles = tuple(x for pair in result.basis.angles for x in pair)
+        angles = " ".join([_FLOAT % x for pair in result.basis.angles for x in pair])
         rows.append(
             CurveRecord(result.n, t.V, t.P, t.C, reservoir_C, result.outcome_probability, angles)
         )
@@ -156,14 +163,18 @@ def run_delta_d(
 
 class TableStateRow(NamedTuple):
     """Post-selected pair state for one (objective, coupling, n) cell, in CSV
-    column order (each amplitude fills a real and an imaginary column)."""
+    column order: each amplitude is a real and an imaginary column, so c00 is
+    ``complex(c00_re, c00_im)``."""
 
     objective: str
     preset: str
     n: int
-    c00: complex
-    c01: complex
-    c10: complex
+    c00_re: float
+    c00_im: float
+    c01_re: float
+    c01_im: float
+    c10_re: float
+    c10_im: float
     achieved: float
     outcome_probability: float
 
@@ -194,7 +205,8 @@ def run_table_states() -> list[TableStateRow]:
                 c00, c01, c10 = _canonical_phase(state.c00, state.c01, state.c10)
                 achieved = objective_value(result.achieved, objective)
                 rows.append(TableStateRow(
-                    objective.value, preset, n, c00, c01, c10,
+                    objective.value, preset, n,
+                    c00.real, c00.imag, c01.real, c01.imag, c10.real, c10.imag,
                     achieved, result.outcome_probability,
                 ))
     return rows
@@ -217,7 +229,7 @@ class Experiment(NamedTuple):
     ``objective`` cannot run without it.  ``rows`` calls its study by its
     module-global name, so a wrapper rebound there (a timing span) runs too."""
 
-    rows: Callable[[ExperimentSpec], Iterable[Sequence]]
+    rows: Callable[[ExperimentSpec], Iterable[tuple]]
     header: tuple[str, ...]
     fields: tuple[str, ...]
 
@@ -225,7 +237,7 @@ class Experiment(NamedTuple):
 EXPERIMENTS: dict[str, Experiment] = {
     "quantity-vs-n": Experiment(
         lambda spec: run_quantity_vs_n(spec.cfg, spec.objective, spec.n_max, spec.reservoir_k),
-        ("n", "V", "P", "C", "reservoir_C", "outcome_probability", "angles"),
+        CurveRecord._fields,
         ("cfg", "objective", "n_max", "reservoir_k"),
     ),
     "uniform-sweep": Experiment(
@@ -245,11 +257,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "table": Experiment(
         lambda spec: run_table_states(),
-        (
-            "objective", "preset", "n",
-            "c00_re", "c00_im", "c01_re", "c01_im", "c10_re", "c10_im",
-            "achieved", "outcome_probability",
-        ),
+        TableStateRow._fields,
         (),
     ),
     "continuous-limit": Experiment(
@@ -260,50 +268,24 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def _fmt(x) -> str:
-    """The CSV cells of one value.  A float cell has 17 significant digits
-    (``.17g``), whichever path writes it, this one or ``_row_format``'s; a
-    complex is two cells (real, then imaginary), a tuple is one
-    space-separated cell, anything else is ``str``."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    if isinstance(x, complex):
-        return f"{_fmt(x.real)},{_fmt(x.imag)}"
-    if isinstance(x, tuple):
-        return " ".join(f"{a:.17g}" for a in x)
-    return str(x)
+#: %-format of a cell by its exact type; a study yields no other type
+_CELL_FORMATS = {int: "%d", float: _FLOAT, str: "%s"}
 
 
-#: %-format of a cell by its exact type (a bool is no int here), writing what ``_fmt`` writes
-_CELL_FORMATS = {int: "%d", float: "%.17g"}
-
-
-def _row_format(row: Sequence) -> str | None:
-    """One %-format that writes a tuple of ``row``'s cell types as ``_fmt``
-    does, or None unless ``row`` is a tuple of ints and floats only."""
-    if not isinstance(row, tuple) or not all(type(x) in _CELL_FORMATS for x in row):
-        return None
-    return ",".join(_CELL_FORMATS[type(x)] for x in row)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> None:
     """Write the CSV, creating its directory only once every row is computed.
 
-    The first row fixes how every row is written: with one %-format when it
-    holds only ints and floats, else cell by cell with ``_fmt``.  Each study
-    yields one type per column, so the first row's types are every row's.
+    Every row is written with one %-format, built from the first row's cell
+    types.  Each study yields one type per column, so the first row's types
+    are every row's.
     """
     lines = [",".join(header)]
     rows = iter(rows)
     first = next(rows, None)
     if first is not None:
-        row_format = _row_format(first)
-        if row_format is None:
-            lines.append(",".join(map(_fmt, first)))
-            lines.extend(",".join(map(_fmt, row)) for row in rows)
-        else:
-            lines.append(row_format % first)
-            lines.extend(map(row_format.__mod__, rows))
+        row_format = ",".join([_CELL_FORMATS[type(x)] for x in first])
+        lines.append(row_format % first)
+        lines.extend(map(row_format.__mod__, rows))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -333,6 +315,15 @@ def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
     return record
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int, or :class:`ConfigError` naming field ``name`` when
+    ``value`` is no integer (a float such as 2.0 or nan included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"field {name!r} takes integers, got {value!r}") from None
+
+
 def _checked(spec: ExperimentSpec) -> Experiment:
     """The registry entry of ``spec`` once every field of ``spec`` is in range,
     whether or not its study reads the field."""
@@ -345,12 +336,14 @@ def _checked(spec: ExperimentSpec) -> Experiment:
         if name in experiment.fields and getattr(spec, name) is None:
             hint = " (a preset or explicit g, T, N)" if name == "cfg" else ""
             raise ConfigError(f"experiment {spec.name!r} needs field {name!r}{hint}")
-    if spec.n_max < 0:
+    if _count("n_max", spec.n_max) < 0:
         raise ConfigError(f"field 'n_max' must be >= 0, got {spec.n_max}")
-    if spec.theta_steps < 1:
+    if _count("theta_steps", spec.theta_steps) < 1:
         raise ConfigError(f"field 'theta_steps' must be >= 1, got {spec.theta_steps}")
     if not spec.limit_N:
         raise ConfigError("field 'limit_N' must list at least one N")
+    for N in spec.limit_N:
+        _count("limit_N", N)
     if not math.isfinite(spec.phi):
         raise DomainError(f"field 'phi' must be finite, got {spec.phi!r}")
     for name in ("reservoir_k", "limit_k", "limit_T"):
@@ -367,11 +360,11 @@ def run_experiment(
     """Execute one named study and persist CSV + manifest.
 
     Every field is checked before anything is computed or written: a bad one
-    raises :class:`ConfigError` (unknown experiment, missing field, count out
-    of range) or :class:`DomainError` (a non-finite float, a negative rate or
-    time).  Returns {"csv": Path, "manifest": Path}.  Layout is
-    ``<out_dir>/<experiment>/<preset>-<objective>.csv``, each component
-    dropped when the study does not read it, with ``manifest.json``
+    raises :class:`ConfigError` (unknown experiment, missing field, a count
+    that is no integer or out of range) or :class:`DomainError` (a non-finite
+    float, a negative rate or time).  Returns {"csv": Path, "manifest": Path}.
+    Layout is ``<out_dir>/<experiment>/<preset>-<objective>.csv``, each
+    component dropped when the study does not read it, with ``manifest.json``
     alongside; a study that reads neither writes ``<experiment>.csv``.
     """
     experiment = _checked(spec)

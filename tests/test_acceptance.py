@@ -186,7 +186,11 @@ def test_c04_table_reproduction():
     mismatches = []
     for row in rows:
         reference = references[(row.objective, row.preset, row.n)]
-        ours = (row.c00, row.c01, row.c10)
+        ours = (
+            complex(row.c00_re, row.c00_im),
+            complex(row.c01_re, row.c01_im),
+            complex(row.c10_re, row.c10_im),
+        )
         gaps = [abs(abs(a) - abs(b)) for a, b in zip(ours, reference)]
         if max(gaps) > 0.03:
             mismatches.append(

@@ -8,7 +8,6 @@ from complement_opt import (
     ComplementarityTriple,
     NormalizationError,
     TwoQubitPure,
-    distinguishability,
     triple,
 )
 from helpers import amplitudes, random_pure_pair, wootters_concurrence
@@ -74,20 +73,20 @@ class TestPredictability:
 
 class TestDistinguishability:
     def test_bell(self):
-        assert distinguishability(BELL) == pytest.approx(1.0, abs=1e-12)
+        t = triple(BELL)
+        assert math.hypot(t.C, t.P) == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_state(self):
-        assert distinguishability(
-            TwoQubitPure(SQRT1_2, 0.0, SQRT1_2, 0.0)
-        ) == pytest.approx(0.0, abs=1e-12)
+        t = triple(TwoQubitPure(SQRT1_2, 0.0, SQRT1_2, 0.0))
+        assert math.hypot(t.C, t.P) == pytest.approx(0.0, abs=1e-12)
 
     def test_closure_rearranged(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             state = random_pure_pair(rng)
-            v = triple(state).V
-            assert distinguishability(state) == pytest.approx(
-                math.sqrt(max(0.0, 1.0 - v * v)), abs=1e-10
+            t = triple(state)
+            assert math.hypot(t.C, t.P) == pytest.approx(
+                math.sqrt(max(0.0, 1.0 - t.V * t.V)), abs=1e-10
             )
 
 
@@ -157,9 +156,8 @@ class TestNormalization:
         amps = [0.0, SQRT1_2, SQRT1_2, 0.0]
         amps[slot] = bad
         state = TwoQubitPure(*amps)
-        for quantity in (distinguishability, triple):
-            with pytest.raises(NormalizationError):
-                quantity(state)
+        with pytest.raises(NormalizationError):
+            triple(state)
 
     def test_triple_type_carries_residual(self):
         t = ComplementarityTriple(V=0.6, P=0.0, C=0.8, closure_residual=0.0)
@@ -168,4 +166,3 @@ class TestNormalization:
         state = random_pure_pair(np.random.default_rng(16))
         t = triple(state)
         assert all(type(x) is float for x in (t.V, t.P, t.C, t.closure_residual))
-        assert type(distinguishability(state)) is float

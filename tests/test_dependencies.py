@@ -1,5 +1,6 @@
 """The package and the demos import no third-party module; the tests import
-exactly the ones the ``test`` extra declares.  A run loads neither numpy nor
+exactly the ones the ``test`` extra declares.  Every public name is used by
+the package or a demo, not by the tests alone.  A run loads neither numpy nor
 ``dataclasses`` and ``inspect``, whose import costs a fresh process about
 15 ms."""
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import complement_opt
 from complement_opt.experiments import EXPERIMENTS
 from helpers import SRC, package_env
 
@@ -52,6 +54,25 @@ def test_test_imports_match_the_test_extra():
     imported = set().union(*(third_party_imports(path, local) for path in files))
     extra = declared(project_table()["optional-dependencies"]["test"])
     assert imported == extra == {"numpy", "pytest", "hypothesis"}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name in __all__ that only the tests call is a wrapper kept for them
+    files = [
+        *(path for path in (SRC / "complement_opt").glob("*.py") if path.name != "__init__.py"),
+        *(REPO / "demos").glob("*.py"),
+    ]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name for alias in node.names)
+    unused = set(complement_opt.__all__) - {"__version__"} - used
+    assert not unused, sorted(unused)
 
 
 def test_run_leaves_numpy_unloaded(tmp_path):

@@ -15,7 +15,6 @@ from complement_opt import (
     complementarity_after,
     delta_d_pair,
     delta_d_total,
-    distinguishability,
     gamma_coefficients,
     make_config,
     maximize,
@@ -532,9 +531,9 @@ class TestDeltaD:
         v = result.achieved.V
         value = delta_d_pair(strong, 10, v)
         assert value == pytest.approx(1.0 - strong.a**20, abs=1e-6)
-        state = postselected_state(gamma_coefficients(strong, result.basis, 10))
+        t = triple(postselected_state(gamma_coefficients(strong, result.basis, 10)))
         assert math.sqrt(max(0.0, 1.0 - v * v)) == pytest.approx(
-            distinguishability(state), abs=1e-10
+            math.hypot(t.C, t.P), abs=1e-10
         )
 
     def test_pair_range_error(self, strong):
