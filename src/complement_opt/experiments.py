@@ -317,11 +317,22 @@ def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
 
 def _count(name: str, value) -> int:
     """``value`` as an int, or :class:`ConfigError` naming field ``name`` when
-    ``value`` is no integer (a float such as 2.0 or nan included)."""
+    ``value`` is no integer (a float such as 2.0 or nan included) or a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"field {name!r} takes integers, got {value!r}")
+
+
+def _finite(name: str, value) -> bool:
+    """Whether ``value`` is finite, or :class:`ConfigError` naming field
+    ``name`` when ``value`` is no real number (a str or a complex)."""
     try:
-        return operator.index(value)
+        return math.isfinite(value)
     except TypeError:
-        raise ConfigError(f"field {name!r} takes integers, got {value!r}") from None
+        raise ConfigError(f"field {name!r} takes real numbers, got {value!r}") from None
 
 
 def _checked(spec: ExperimentSpec) -> Experiment:
@@ -340,15 +351,17 @@ def _checked(spec: ExperimentSpec) -> Experiment:
         raise ConfigError(f"field 'n_max' must be >= 0, got {spec.n_max}")
     if _count("theta_steps", spec.theta_steps) < 1:
         raise ConfigError(f"field 'theta_steps' must be >= 1, got {spec.theta_steps}")
+    if not isinstance(spec.limit_N, Sequence):
+        raise ConfigError(f"field 'limit_N' takes a sequence of integers, got {spec.limit_N!r}")
     if not spec.limit_N:
         raise ConfigError("field 'limit_N' must list at least one N")
     for N in spec.limit_N:
         _count("limit_N", N)
-    if not math.isfinite(spec.phi):
+    if not _finite("phi", spec.phi):
         raise DomainError(f"field 'phi' must be finite, got {spec.phi!r}")
     for name in ("reservoir_k", "limit_k", "limit_T"):
         value = getattr(spec, name)
-        if value is not None and not 0.0 <= value < math.inf:
+        if value is not None and not (_finite(name, value) and value >= 0.0):
             raise DomainError(f"field {name!r} must be finite and >= 0, got {value!r}")
     return experiment
 
@@ -361,11 +374,13 @@ def run_experiment(
 
     Every field is checked before anything is computed or written: a bad one
     raises :class:`ConfigError` (unknown experiment, missing field, a count
-    that is no integer or out of range) or :class:`DomainError` (a non-finite
-    float, a negative rate or time).  Returns {"csv": Path, "manifest": Path}.
-    Layout is ``<out_dir>/<experiment>/<preset>-<objective>.csv``, each
-    component dropped when the study does not read it, with ``manifest.json``
-    alongside; a study that reads neither writes ``<experiment>.csv``.
+    that is a bool, no integer or out of range, a float field that is no real
+    number, a ``limit_N`` that is no sequence) or :class:`DomainError` (a
+    non-finite float, a negative rate or time).  Returns {"csv": Path,
+    "manifest": Path}.  Layout is
+    ``<out_dir>/<experiment>/<preset>-<objective>.csv``, each component
+    dropped when the study does not read it, with ``manifest.json`` alongside;
+    a study that reads neither writes ``<experiment>.csv``.
     """
     experiment = _checked(spec)
     recorded = _recorded(spec, experiment.fields)

@@ -91,10 +91,6 @@ class MeasurementBasis:
     def from_angles(cls, pairs: Iterable[Sequence[float]]) -> "MeasurementBasis":
         return cls(tuple(itertools.starmap(canonical_angles, pairs)))
 
-    @classmethod
-    def uniform(cls, theta: float, phi: float, n: int) -> "MeasurementBasis":
-        return cls.from_angles([(theta, phi)] * n)
-
     def __len__(self) -> int:
         return len(self.angles)
 
@@ -226,6 +222,22 @@ def uniform_gamma(
     return _make_gamma(
         cfg.b * _SQRT1_2 * beta * geometric, a_n * g3, g3, (alpha * alpha) ** (n - 1)
     )
+
+
+def one_angle_gamma(cfg: CouplingConfig, theta1: float, n: int) -> GammaTriple:
+    """``gamma_coefficients`` of the basis with probe 1 at (theta1, 0) and every
+    later probe at (0, 0), theta1 in [0, pi/2] (0 at n = 0), in O(1).
+
+    Every alpha after the first is 1.0 and every beta after the first is a
+    complex of signed zeros, so the kernel's probe sum is complex(sin theta1,
+    0.0) and its product of alphas cos(theta1), never below 2^-256; the
+    amplitudes (b sin theta1, a^n cos theta1, cos theta1)/sqrt(2) are formed
+    by the kernel's operations in its order, and so carry its bits.
+    """
+    g3 = _SQRT1_2 * math.cos(theta1)
+    g2 = cfg.a ** n * g3
+    g1 = cfg.b * _SQRT1_2 * complex(math.sin(theta1), 0.0)
+    return _make_gamma(g1, g2, g3)
 
 
 def complementarity_after(gt: GammaTriple) -> ComplementarityTriple:

@@ -12,8 +12,11 @@ later probe at theta = 0 gives x = |b|^2 tan^2(theta_1), which spans [0, inf):
   two lie within ``TIE_TOLERANCE`` the more probable one is reported.
 
 Without coupling (b = 0) no basis changes the pair and theta_1 = 0 is used.
-The reported triple and outcome probability always come from
-``gamma_coefficients`` and ``complementarity_after``.  The V and P optima sit
+So an optimum is one angle, ``OptimizationResult.theta1``, and its basis is
+derived from it.  The reported triple and outcome probability come from the
+one-angle closed form ``measurement.one_angle_gamma`` and
+``complementarity_after`` in O(1) per n; a test checks them bit for bit
+against ``gamma_coefficients`` on the derived basis.  The V and P optima sit
 at or within about g*dt of theta_1 = pi/2, which float angles resolve only to
 about 1e-16, so ``maximize`` raises ``DomainError`` when its best V or P falls
 more than ``TIE_TOLERANCE`` short of the closed form (at n = 1 from g*dt = 1e-12
@@ -53,7 +56,7 @@ from .collisions import CouplingConfig, distinguishability_ab, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
 from .errors import DomainError
 from .measurement import (
-    MeasurementBasis, complementarity_after, gamma_coefficients, project_oracle,
+    MeasurementBasis, complementarity_after, one_angle_gamma, project_oracle,
 )
 
 #: ties among candidate optima, and the most the best may fall short of its closed form
@@ -72,11 +75,21 @@ _FIELD = {objective: i for i, objective in enumerate(Objective)}
 
 
 class OptimizationResult(NamedTuple):
+    """An optimum: probe 1 measured at (theta1, 0), every later probe at (0, 0),
+    theta1 in [0, pi/2]."""
+
     objective: Objective
     n: int
-    basis: MeasurementBasis
+    theta1: float
     achieved: ComplementarityTriple
     outcome_probability: float
+
+    @property
+    def basis(self) -> MeasurementBasis:
+        """The n angle pairs; theta1 in [0, pi/2] is canonical already."""
+        if not self.n:
+            return MeasurementBasis(())
+        return MeasurementBasis(((self.theta1, 0.0),) + ((0.0, 0.0),) * (self.n - 1))
 
 
 def objective_value(t: ComplementarityTriple, objective: Objective) -> float:
@@ -84,9 +97,10 @@ def objective_value(t: ComplementarityTriple, objective: Objective) -> float:
 
 
 def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationResult:
-    """Optimal measurement basis for the given quantity after n collisions; of
-    candidates within ``TIE_TOLERANCE`` of the best, the most probable wins, and
-    a best V or P more than that below its closed form raises ``DomainError``."""
+    """Optimal first-probe angle theta1 for the given quantity after n
+    collisions; of candidates within ``TIE_TOLERANCE`` of the best, the most
+    probable wins, and a best V or P more than that below its closed form
+    raises ``DomainError``."""
     cfg.check_n(n)
     optimum = None  # the closed form the best candidate must reach
     if cfg.b == 0 or n == 0 or objective is Objective.CONCURRENCE:
@@ -98,10 +112,10 @@ def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationR
         thetas, optimum = (math.pi / 2.0, 0.0), 1.0
     candidates = []
     for theta1 in thetas:
-        basis = MeasurementBasis.from_angles((theta1 if i == 0 else 0.0, 0.0) for i in range(n))
-        gt = gamma_coefficients(cfg, basis, n)
-        achieved = complementarity_after(gt)
-        candidates.append(OptimizationResult(objective, n, basis, achieved, gt.outcome_probability))
+        gt = one_angle_gamma(cfg, theta1, n)
+        candidates.append(OptimizationResult(
+            objective, n, theta1, complementarity_after(gt), gt.outcome_probability
+        ))
     best = max(objective_value(c.achieved, objective) for c in candidates)
     if optimum is not None and best < optimum - TIE_TOLERANCE:
         raise DomainError(

@@ -7,15 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complement_opt import (
-    MeasurementBasis,
-    Objective,
-    OptimizationResult,
-    cli,
-    complementarity_after,
-    gamma_coefficients,
-    verify,
-)
+from complement_opt import Objective, cli, verify
 from complement_opt.cli import FIELDS, main
 from complement_opt.experiments import EXPERIMENTS, PRESETS
 from helpers import package_env
@@ -420,11 +412,8 @@ class TestVerifyCommand:
         def theta_zero(cfg, n, objective):
             if objective is not Objective.PREDICTABILITY:
                 return exact(cfg, n, objective)
-            basis = MeasurementBasis.uniform(0.0, 0.0, n)
-            gt = gamma_coefficients(cfg, basis, n)
-            return OptimizationResult(
-                objective, n, basis, complementarity_after(gt), gt.outcome_probability
-            )
+            # theta_1 = 0 is concurrence's optimum
+            return exact(cfg, n, Objective.CONCURRENCE)._replace(objective=objective)
 
         monkeypatch.setattr(verify, "maximize", theta_zero)
         result = verify._optimizer_check()

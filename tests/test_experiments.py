@@ -315,6 +315,16 @@ class TestRunExperiment:
         ("continuous-limit", "limit_N", (math.nan,), ConfigError),
         ("delta-d", "n_max", 2.5, ConfigError),
         ("uniform-sweep", "theta_steps", 2.5, ConfigError),
+        # a bool is no count, though operator.index(True) is 1
+        ("delta-d", "n_max", True, ConfigError),
+        ("uniform-sweep", "theta_steps", True, ConfigError),
+        ("continuous-limit", "limit_N", (True,), ConfigError),
+        # a float field that is no real number, and a limit_N that is no sequence
+        ("continuous-limit", "limit_N", 64, ConfigError),
+        ("continuous-limit", "limit_k", "3", ConfigError),
+        ("continuous-limit", "limit_k", 3 + 0j, ConfigError),
+        ("distinguishability", "phi", "0", ConfigError),
+        ("quantity-vs-n", "reservoir_k", "1", ConfigError),
     ])
     def test_bad_field_rejected_before_any_output(
         self, tmp_path, strong, name, field, value, error

@@ -118,14 +118,14 @@ class TestGammaCoefficients:
     def test_bookkeeping_is_python_float(self, strong):
         # numpy scalars must not leak into results, CSVs or manifests
         for n in (0, 1, 6):
-            gt = gamma_coefficients(strong, MeasurementBasis.uniform(0.3, 0.2, n), n)
+            gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(0.3, 0.2)] * n), n)
             assert type(gt.outcome_probability) is float
         gt = uniform_gamma(strong, 0.3, 0.2, 6)
         assert type(gt.outcome_probability) is float
 
     def test_all_zero_angles(self, strong):
         n = 6
-        gt = gamma_coefficients(strong, MeasurementBasis.uniform(0.0, 0.0, n), n)
+        gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(0.0, 0.0)] * n), n)
         assert gt.gamma1 == 0.0
         assert gt.gamma2 == pytest.approx(strong.a**n * SQRT1_2, abs=1e-15)
         assert gt.gamma3 == pytest.approx(SQRT1_2)
@@ -146,13 +146,13 @@ class TestGammaCoefficients:
 
     def test_length_mismatch(self, strong):
         with pytest.raises(RangeError):
-            gamma_coefficients(strong, MeasurementBasis.uniform(0.1, 0.0, 3), 4)
+            gamma_coefficients(strong, MeasurementBasis.from_angles([(0.1, 0.0)] * 3), 4)
 
     def test_degenerate_outcome(self, strong):
         # two probes at theta = pi/2 leave an improbable record, which is
         # evaluated; twenty leave one whose probability underflows to 0.0, and
         # both routes still normalize it
-        basis = MeasurementBasis.uniform(math.pi / 2.0, 0.0, 2)
+        basis = MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 2)
         gt = gamma_coefficients(strong, basis, 2)
         pure, prob = project_oracle(oracle_evolve(strong, 2), basis)
         assert 0.0 < gt.outcome_probability < 1e-30
@@ -161,7 +161,7 @@ class TestGammaCoefficients:
         assert t.P == pytest.approx(1.0, abs=1e-12)
         assert abs(t.closure_residual) <= 1e-10
         assert abs(pure.c00 - postselected_state(gt).c00) <= 1e-12
-        basis = MeasurementBasis.uniform(math.pi / 2.0, 0.0, 20)
+        basis = MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 20)
         gt = gamma_coefficients(strong, basis, 20)
         pure, prob = project_oracle(oracle_evolve(strong, 20), basis)
         assert gt.outcome_probability == prob == 0.0
@@ -169,7 +169,7 @@ class TestGammaCoefficients:
         assert abs(pure.c10 - postselected_state(gt).c10) <= 1e-12
 
     def test_theta_pi_over_2_single_probe_is_regular(self, strong):
-        gt = gamma_coefficients(strong, MeasurementBasis.uniform(math.pi / 2.0, 0.7, 1), 1)
+        gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(math.pi / 2.0, 0.7)]), 1)
         assert abs(gt.gamma1) == pytest.approx(abs(strong.b) * SQRT1_2, abs=1e-12)
         assert gt.outcome_probability == pytest.approx(abs(strong.b) ** 2 / 2.0, abs=1e-12)
 
@@ -255,7 +255,7 @@ class TestProjectOracle:
             measurement, "_running_products", lambda values: [(1.1 * p, e) for p, e in shared(values)]
         )
         assert not verify._projection_check(300, 3).passed
-        basis = MeasurementBasis.uniform(0.7, 0.3, 3)
+        basis = MeasurementBasis.from_angles([(0.7, 0.3)] * 3)
         pure, _ = project_oracle(oracle_evolve(strong, 3), basis)
         expected = postselected_state(gamma_coefficients(strong, basis, 3))
         gaps = (pure.c00 - expected.c00, pure.c01 - expected.c01, pure.c10 - expected.c10)
@@ -388,7 +388,7 @@ class TestUniformGamma:
             for theta, phi in cases + near_edges:
                 for n in (0, 1, 2, 5):
                     u = uniform_gamma(cfg, theta, phi, n)
-                    g = gamma_coefficients(cfg, MeasurementBasis.uniform(theta, phi, n), n)
+                    g = gamma_coefficients(cfg, MeasurementBasis.from_angles([(theta, phi)] * n), n)
                     tu, tg = complementarity_after(u), complementarity_after(g)
                     assert abs(tu.V - tg.V) <= 1e-12
                     assert abs(tu.P - tg.P) <= 1e-12
@@ -412,7 +412,9 @@ class TestUniformGamma:
 
     def test_many_probes_at_pi_over_2_are_improbable(self, weak):
         gt = uniform_gamma(weak, math.pi / 2.0, 0.0, 4)
-        per_probe = gamma_coefficients(weak, MeasurementBasis.uniform(math.pi / 2.0, 0.0, 4), 4)
+        per_probe = gamma_coefficients(
+            weak, MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 4), 4
+        )
         assert 0.0 < gt.outcome_probability < 1e-90
         assert gt.outcome_probability == pytest.approx(
             per_probe.outcome_probability, rel=1e-12, abs=0.0
@@ -423,7 +425,9 @@ class TestUniformGamma:
         # at n = 20 both routes' probabilities underflow to 0.0, and both
         # still normalize the record
         shared = uniform_gamma(weak, math.pi / 2.0, 0.0, 20)
-        per_probe = gamma_coefficients(weak, MeasurementBasis.uniform(math.pi / 2.0, 0.0, 20), 20)
+        per_probe = gamma_coefficients(
+            weak, MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 20), 20
+        )
         assert shared.outcome_probability == per_probe.outcome_probability == 0.0
         t, tp = complementarity_after(shared), complementarity_after(per_probe)
         assert t.P == pytest.approx(1.0, abs=1e-12)
@@ -438,7 +442,7 @@ class TestComplementarityAfter:
     def test_all_zero_basis_weak_20(self, weak):
         n = 20
         t = complementarity_after(
-            gamma_coefficients(weak, MeasurementBasis.uniform(0.0, 0.0, n), n)
+            gamma_coefficients(weak, MeasurementBasis.from_angles([(0.0, 0.0)] * n), n)
         )
         a_n = weak.a**n
         assert t.C == pytest.approx(2 * a_n / (1 + a_n * a_n), abs=1e-12)

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import sys
 
 import pytest
@@ -21,6 +22,7 @@ from complement_opt import (
     project_oracle,
     triple,
 )
+from complement_opt.measurement import one_angle_gamma
 from complement_opt.optimize import TIE_TOLERANCE
 from helpers import random_basis, random_coupling
 
@@ -48,13 +50,6 @@ class TestMaximizeBasics:
             assert len(result.basis) == 0
             assert result.outcome_probability == pytest.approx(1.0, abs=1e-14)
 
-    def test_result_consistency(self, strong):
-        result = maximize(strong, 4, Objective.VISIBILITY)
-        gt = gamma_coefficients(strong, result.basis, 4)
-        re_evaluated = complementarity_after(gt)
-        assert abs(re_evaluated.V - result.achieved.V) <= 1e-12
-        assert abs(gt.outcome_probability - result.outcome_probability) <= 1e-12
-
     def test_closure_on_returned_triples(self, strong, weak):
         for cfg in (strong, weak):
             for objective in Objective:
@@ -65,7 +60,7 @@ class TestMaximizeBasics:
         result = maximize(strong, 3, Objective.VISIBILITY)
         achieved = result.achieved.V
         for start in (0.0, math.pi / 4.0):
-            gt = gamma_coefficients(strong, MeasurementBasis.uniform(start, 0.0, 3), 3)
+            gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(start, 0.0)] * 3), 3)
             assert achieved >= complementarity_after(gt).V - 1e-9
 
     def test_dominates_random_bases(self, strong, weak):
@@ -95,6 +90,45 @@ class TestMaximizeBasics:
                 t = result.achieved
                 assert (t.V, t.P, t.C) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
                 assert result.outcome_probability == pytest.approx(1.0, abs=1e-14)
+
+
+def _bits(x: float) -> bytes:
+    """The double's bytes, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", x)
+
+
+def _gamma_bits(gt) -> list[bytes]:
+    return [_bits(x) for g in gt[:3] for x in (g.real, g.imag)] + [_bits(gt.outcome_probability)]
+
+
+class TestAgainstTheKernel:
+    """``maximize`` takes its triple from the one-angle closed form; the
+    general kernel, run on the basis the result reports, gives the same bits."""
+
+    @pytest.fixture(scope="class")
+    def configs(self, strong, weak):
+        rng = random.Random(41)
+        seeded = [random_coupling(rng)[0] for _ in range(6)]
+        return (strong, weak, make_config(0.0, 1.0, 4), small_a_config(1.5), *seeded)
+
+    def test_closed_form_is_the_kernel_bit_for_bit(self, configs):
+        for cfg in configs:
+            for n in range(min(cfg.N_total, 20) + 1):
+                for objective in Objective:
+                    result = maximize(cfg, n, objective)
+                    theta1 = result.theta1
+                    assert type(theta1) is float and 0.0 <= theta1 <= math.pi / 2.0
+                    angles = ((theta1, 0.0),) + ((0.0, 0.0),) * (n - 1) if n else ()
+                    assert result.basis.angles == angles
+                    # canonical already: from_angles leaves every angle as it is
+                    assert MeasurementBasis.from_angles(angles).angles == angles
+                    gt = gamma_coefficients(cfg, result.basis, n)
+                    kernel = (*complementarity_after(gt), gt.outcome_probability)
+                    reported = (*result.achieved, result.outcome_probability)
+                    where = (cfg, n, objective)
+                    assert list(map(_bits, reported)) == list(map(_bits, kernel)), where
+                    # the amplitudes too, each part of each complex
+                    assert _gamma_bits(one_angle_gamma(cfg, theta1, n)) == _gamma_bits(gt), where
 
 
 class TestOutcomeProbability:
