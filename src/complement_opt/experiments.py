@@ -2,7 +2,9 @@
 
 Each study returns its rows in CSV column order (the uniform sweep yields
 them), so callers can post-process or plot them as they like and
-``run_experiment`` writes them as they come.  ``EXPERIMENTS`` registers every
+``run_experiment`` streams them to disk as they come: the output directory is
+created once the first row is computed, and the CSV appears under its name
+only after its last row is written.  ``EXPERIMENTS`` registers every
 named study with its CSV header and the :class:`ExperimentSpec` fields it
 reads; ``run_experiment`` looks a spec up there and persists one CSV plus a
 JSON manifest recording exactly those fields and the versions used.  Every
@@ -17,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-import platform
+import os
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -35,7 +38,7 @@ from .measurement import (
     complementarity_after,
     delta_d_pair,
     delta_d_total,
-    gamma_coefficients,
+    one_angle_gamma,
     per_qubit_distinguishability,
     postselected_state,
     uniform_gamma,
@@ -201,7 +204,7 @@ def run_table_states() -> list[TableStateRow]:
             cfg = preset_config(preset)
             for n in TABLE_NS:
                 result = maximize(cfg, n, objective)
-                state = postselected_state(gamma_coefficients(cfg, result.basis, n))
+                state = postselected_state(one_angle_gamma(cfg, result.theta1, n))
                 c00, c01, c10 = _canonical_phase(state.c00, state.c01, state.c10)
                 achieved = objective_value(result.achieved, objective)
                 rows.append(TableStateRow(
@@ -273,21 +276,32 @@ _CELL_FORMATS = {int: "%d", float: _FLOAT, str: "%s"}
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> None:
-    """Write the CSV, creating its directory only once every row is computed.
+    """Stream the CSV to disk row by row, in memory independent of its length.
+
+    The directory is created only once the first row is computed.  Rows go to
+    a sibling ``<name>.part`` file, which replaces ``path`` after the last
+    row, so ``path`` holds a whole CSV or is left as it was: an exception
+    from ``rows`` or the disk deletes the partial file and propagates.
 
     Every row is written with one %-format, built from the first row's cell
     types.  Each study yields one type per column, so the first row's types
     are every row's.
     """
-    lines = [",".join(header)]
     rows = iter(rows)
     first = next(rows, None)
-    if first is not None:
-        row_format = ",".join([_CELL_FORMATS[type(x)] for x in first])
-        lines.append(row_format % first)
-        lines.extend(map(row_format.__mod__, rows))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    partial = path.with_name(path.name + ".part")
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            handle.write(",".join(header) + "\n")
+            if first is not None:
+                row_format = ",".join([_CELL_FORMATS[type(x)] for x in first]) + "\n"
+                handle.write(row_format % first)
+                handle.writelines(map(row_format.__mod__, rows))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _file_stem(spec: ExperimentSpec, fields: Sequence[str]) -> str:
@@ -343,10 +357,14 @@ def _checked(spec: ExperimentSpec) -> Experiment:
         raise ConfigError(
             f"unknown experiment {spec.name!r}; choose from {', '.join(EXPERIMENTS)}"
         )
-    for name in ("cfg", "objective"):
-        if name in experiment.fields and getattr(spec, name) is None:
-            hint = " (a preset or explicit g, T, N)" if name == "cfg" else ""
-            raise ConfigError(f"experiment {spec.name!r} needs field {name!r}{hint}")
+    for name, kind in (("cfg", CouplingConfig), ("objective", Objective)):
+        value = getattr(spec, name)
+        if value is None:
+            if name in experiment.fields:
+                hint = " (a preset or explicit g, T, N)" if name == "cfg" else ""
+                raise ConfigError(f"experiment {spec.name!r} needs field {name!r}{hint}")
+        elif not isinstance(value, kind):
+            raise ConfigError(f"field {name!r} takes a {kind.__name__}, got {value!r}")
     if _count("n_max", spec.n_max) < 0:
         raise ConfigError(f"field 'n_max' must be >= 0, got {spec.n_max}")
     if _count("theta_steps", spec.theta_steps) < 1:
@@ -373,11 +391,15 @@ def run_experiment(
     """Execute one named study and persist CSV + manifest.
 
     Every field is checked before anything is computed or written: a bad one
-    raises :class:`ConfigError` (unknown experiment, missing field, a count
-    that is a bool, no integer or out of range, a float field that is no real
-    number, a ``limit_N`` that is no sequence) or :class:`DomainError` (a
-    non-finite float, a negative rate or time).  Returns {"csv": Path,
-    "manifest": Path}.  Layout is
+    raises :class:`ConfigError` (unknown experiment, missing field, a ``cfg``
+    that is no :class:`CouplingConfig` or an ``objective`` no
+    :class:`Objective`, a count that is a bool, no integer or out of range, a
+    float field that is no real number, a ``limit_N`` that is no sequence) or
+    :class:`DomainError` (a non-finite float, a negative rate or time).  The
+    errors the studies raise themselves (``n_max`` above ``N`` and the like)
+    come with their first row at the latest, before the directory is created.
+    The CSV appears whole or not at all, and the manifest after it.  Returns
+    {"csv": Path, "manifest": Path}.  Layout is
     ``<out_dir>/<experiment>/<preset>-<objective>.csv``, each component
     dropped when the study does not read it, with ``manifest.json`` alongside;
     a study that reads neither writes ``<experiment>.csv``.
@@ -396,7 +418,7 @@ def run_experiment(
         **recorded,
         "versions": {
             "complement_opt": __version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
         },
         "wall_time_s": wall,
         "outputs": [csv_path.name],

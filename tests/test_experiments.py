@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import platform
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,6 +268,11 @@ class TestRunExperiment:
         manifest = json.loads(run_experiment(spec, out_dir=tmp_path)["manifest"].read_text())
         assert set(manifest) == {"experiment", "versions", "wall_time_s", "outputs"} | fields
 
+    def test_manifest_records_the_python_version(self, tmp_path, strong):
+        spec = ExperimentSpec(name="distinguishability", cfg=strong, preset="strong")
+        manifest = json.loads(run_experiment(spec, out_dir=tmp_path)["manifest"].read_text())
+        assert manifest["versions"]["python"] == platform.python_version()
+
     def test_float_round_trip(self, tmp_path, strong):
         spec = ExperimentSpec(name="distinguishability", cfg=strong, preset="strong")
         paths = run_experiment(spec, out_dir=tmp_path)
@@ -325,6 +332,9 @@ class TestRunExperiment:
         ("continuous-limit", "limit_k", 3 + 0j, ConfigError),
         ("distinguishability", "phi", "0", ConfigError),
         ("quantity-vs-n", "reservoir_k", "1", ConfigError),
+        # a coupling or objective of the wrong type, not left to fail in the file name
+        ("quantity-vs-n", "objective", "visibility", ConfigError),
+        ("quantity-vs-n", "cfg", {"g": 1.0}, ConfigError),
     ])
     def test_bad_field_rejected_before_any_output(
         self, tmp_path, strong, name, field, value, error
@@ -426,6 +436,38 @@ class TestCsvFormat:
         experiments._write_csv(path, header, iter(rows))
         lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # 50,000 rows are about 4 MB of text; the writer holds one row at a time
+        rows = ((float(i), i / 3.0, i * 0.1, -i * 1e-300, math.pi * i) for i in range(50_000))
+        path = tmp_path / "rows.csv"
+        tracemalloc.start()
+        try:
+            experiments._write_csv(path, ("a", "b", "c", "d", "e"), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with path.open(encoding="utf-8") as handle:
+            assert sum(1 for _ in handle) == 50_001
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_failed_write_leaves_the_csv_as_it_was(self, tmp_path, error):
+        def rows():
+            for n in range(3):
+                yield n, n / 3.0
+            raise error("after 3 rows")
+
+        path = tmp_path / "study" / "stem.csv"
+        with pytest.raises(error):
+            experiments._write_csv(path, ("n", "x"), rows())
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        experiments._write_csv(path, ("n", "x"), [(7, 0.25)])
+        before = path.read_bytes()
+        with pytest.raises(error):
+            experiments._write_csv(path, ("n", "x"), rows())
+        assert path.read_bytes() == before
+        assert list(path.parent.iterdir()) == [path]
 
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
