@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Post-selecting the probe qubits.
 
-Shows how measuring each probe in a chosen basis reshapes the pair state:
+Shows how measuring each probe in a chosen basis, a tuple of (theta, phi)
+pairs in probe order, reshapes the pair state:
 the closed-form post-selection amplitudes, their agreement with direct
 projection of the collision state, the shared-basis shortcut, and how outcome
 probabilities add up over a complete set of measurement records.
@@ -10,7 +11,6 @@ import math
 import random
 
 from complement_opt import (
-    MeasurementBasis,
     complementarity_after,
     gamma_coefficients,
     make_config,
@@ -26,8 +26,8 @@ def separator(title):
 
 
 def random_angles(rng, n):
-    """n (theta, phi) pairs, theta uniform in [0, pi) and phi in [0, 2 pi)."""
-    return [(math.pi * rng.random(), 2 * math.pi * rng.random()) for _ in range(n)]
+    """A basis of n (theta, phi) pairs, theta uniform in [0, pi) and phi in [0, 2 pi)."""
+    return tuple((math.pi * rng.random(), 2 * math.pi * rng.random()) for _ in range(n))
 
 
 def main():
@@ -36,10 +36,10 @@ def main():
     rng = random.Random(7)
 
     separator("POST-SELECTED PAIR STATE, RANDOM BASIS")
-    basis = MeasurementBasis.from_angles(random_angles(rng, n))
-    gt = gamma_coefficients(cfg, basis, n)
+    basis = random_angles(rng, n)
+    gt = gamma_coefficients(cfg, basis)
     state = postselected_state(gt)
-    print(f"  angles (theta, phi): {[(round(t, 3), round(p, 3)) for t, p in basis.angles]}")
+    print(f"  basis (theta, phi): {tuple((round(t, 3), round(p, 3)) for t, p in basis)}")
     print(f"  c00 = {state.c00:+.6f}")
     print(f"  c01 = {state.c01:+.6f}")
     print(f"  c10 = {state.c10:+.6f}")
@@ -72,7 +72,7 @@ def main():
             else (math.pi / 2 - pairs[i][0], pairs[i][1] + math.pi)
             for i in range(3)
         ]
-        _, p = project_oracle(state3, MeasurementBasis.from_angles(chosen))
+        _, p = project_oracle(state3, tuple(chosen))
         total += p
     print(f"  sum over all 8 records of 3 probes: {total:.12f}")
 

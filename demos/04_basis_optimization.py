@@ -2,7 +2,9 @@
 """Steering the pair by optimizing the probe measurement bases.
 
 For each target quantity (visibility, predictability, concurrence) the
-optimal basis follows in closed form: only the first probe's angle matters.  Strong coupling drains the
+optimal basis follows in closed form: only the first probe's angle matters,
+so ``OptimizationResult.basis`` is ((theta1, 0), (0, 0), ...), one (theta, phi)
+pair per probe, and it feeds ``gamma_coefficients(cfg, basis)`` as it is.  Strong coupling drains the
 entanglement no matter what is maximized, while weak coupling lets the
 concurrence survive; the visibility shows the opposite preference.
 """
@@ -36,9 +38,10 @@ def show_states(cfg, label, ns=(1, 2, 10)):
     for objective in Objective:
         for n in ns:
             r = maximize(cfg, n, objective)
-            s = postselected_state(gamma_coefficients(cfg, r.basis, n))
+            s = postselected_state(gamma_coefficients(cfg, r.basis))
             print(f"  max {objective.value:<14} n={n:<2d}  "
-                  f"|c00|={abs(s.c00):.2f} |c01|={abs(s.c01):.2f} |c10|={abs(s.c10):.2f}")
+                  f"|c00|={abs(s.c00):.2f} |c01|={abs(s.c01):.2f} |c10|={abs(s.c10):.2f}  "
+                  f"probe 1 at (theta, phi) = ({r.basis[0][0]:.3f}, {r.basis[0][1]:.0f})")
 
 
 def main():

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .measurement import (
     GammaTriple,
-    MeasurementBasis,
     complementarity_after,
     delta_d_pair,
     delta_d_total,
@@ -63,7 +62,6 @@ __all__ = [
     "TwoQubitPure",
     "ComplementarityTriple",
     "triple",
-    "MeasurementBasis",
     "GammaTriple",
     "gamma_coefficients",
     "project_oracle",

@@ -49,9 +49,10 @@ class CouplingConfig(NamedTuple):
     k: float
 
     def check_n(self, n: int) -> None:
-        if not 0 <= n <= self.N_total:
+        """``RangeError`` unless n is an int (no bool) in [0, N_total]."""
+        if type(n) is not int or not 0 <= n <= self.N_total:
             raise RangeError(
-                f"collision count n={n} outside [0, N_total={self.N_total}]"
+                f"collision count n={n!r} is no int in [0, N_total={self.N_total}]"
             )
 
 

@@ -119,7 +119,7 @@ def run_quantity_vs_n(
     for result in curve(cfg, objective, n_max):
         t = result.achieved
         reservoir_C = reservoir_limit_concurrence(k, result.n * cfg.dt)
-        angles = " ".join([_FLOAT % x for pair in result.basis.angles for x in pair])
+        angles = " ".join([_FLOAT % x for pair in result.basis for x in pair])
         rows.append(
             CurveRecord(result.n, t.V, t.P, t.C, reservoir_C, result.outcome_probability, angles)
         )
@@ -330,8 +330,9 @@ def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
 
 
 def _count(name: str, value) -> int:
-    """``value`` as an int, or :class:`ConfigError` naming field ``name`` when
-    ``value`` is no integer (a float such as 2.0 or nan included) or a bool."""
+    """``value`` as an int, or :class:`ConfigError` naming ``name`` (a spec
+    field, or a ``run_verification`` argument) when ``value`` is no integer (a
+    float such as 2.0 or nan included) or a bool."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)

@@ -1,7 +1,11 @@
 """Projective post-selection of the probe qubits and its effect on the pair.
 
-After n collisions, probe i is projected onto the basis vector
-|M_i> = alpha_i |0_i> + beta_i |1_i> with alpha_i = cos(theta_i) and
+A basis is a tuple of (theta_i, phi_i) float pairs, one per measured probe in
+probe order, so its length is the collision count n.  Both routes below read
+the angles as given and reject a non-finite one with ``DomainError``;
+``canonical_angles`` maps a pair into [0, pi) x [0, 2 pi) where canonical
+angles are wanted.  After n collisions, probe i is projected onto the basis
+vector |M_i> = alpha_i |0_i> + beta_i |1_i> with alpha_i = cos(theta_i) and
 beta_i = exp(i phi_i) sin(theta_i).  The retained amplitude for a probe in
 components (x0, x1) is the linear pairing alpha * x0 + beta * x1 (no
 conjugation); this fixes the global-phase convention of all post-selected
@@ -22,7 +26,7 @@ blow up even though the physics is regular.  The products of alphas are carried
 as p * 2^e: whenever |p| drops below 2^-256 it is multiplied by 2^256, which is
 exact, and e lowered by 256, so they never underflow.
 
-``gamma_coefficients`` (the amplitudes of one record) and
+``gamma_coefficients(cfg, basis)`` (the amplitudes of one record) and
 ``_complementarity_from_moduli`` (V, P, C from their squared moduli) are the
 library's post-selection kernel.  ``project_oracle`` is the independent route:
 it projects the probes of a collision state one at a time, in order, in plain
@@ -35,7 +39,6 @@ double.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -73,26 +76,6 @@ def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
         if phi == _TWO_PI:
             phi = 0.0
     return theta, phi
-
-
-class MeasurementBasis:
-    """Ordered projection angles (theta_i, phi_i), one pair per measured probe.
-
-    A plain slotted class, not a tuple, so that ``len(basis)`` counts the
-    angle pairs; two bases are compared through their ``angles``.
-    """
-
-    __slots__ = ("angles",)
-
-    def __init__(self, angles: tuple[tuple[float, float], ...]) -> None:
-        self.angles = angles
-
-    @classmethod
-    def from_angles(cls, pairs: Iterable[Sequence[float]]) -> "MeasurementBasis":
-        return cls(tuple(itertools.starmap(canonical_angles, pairs)))
-
-    def __len__(self) -> int:
-        return len(self.angles)
 
 
 class GammaTriple(NamedTuple):
@@ -142,16 +125,18 @@ def _complementarity_from_moduli(m1: float, m2: float, m3: float):
 
 
 def gamma_coefficients(
-    cfg: CouplingConfig, basis: MeasurementBasis, n: int
+    cfg: CouplingConfig, basis: Sequence[tuple[float, float]]
 ) -> GammaTriple:
-    """Post-selected pair amplitudes after n collisions and n projections."""
+    """Post-selected pair amplitudes after n = len(basis) collisions and n
+    projections; a non-finite angle raises ``DomainError``."""
+    n = len(basis)
     cfg.check_n(n)
-    if len(basis) != n:
-        raise RangeError(
-            f"basis supplies {len(basis)} angle pairs but n={n} probes are measured"
-        )
-    alpha = [math.cos(theta) for theta, _ in basis.angles]
-    beta = [complex(math.cos(phi), math.sin(phi)) * math.sin(theta) for theta, phi in basis.angles]
+    alpha, beta = [], []
+    for theta, phi in basis:
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+        alpha.append(math.cos(theta))
+        beta.append(complex(math.cos(phi), math.sin(phi)) * math.sin(theta))
     pre = _running_products(alpha)
     suf = _running_products(reversed(alpha[1:]))[::-1]
     p_all, e_all = pre[-1]
@@ -165,7 +150,7 @@ def gamma_coefficients(
 
 
 def project_oracle(
-    state: ExcitationState, basis: MeasurementBasis
+    state: ExcitationState, basis: Sequence[tuple[float, float]]
 ) -> tuple[TwoQubitPure, float]:
     """Apply the probe projections directly to a collision state.
 
@@ -177,17 +162,19 @@ def project_oracle(
     ``gamma_coefficients``.  Returns the normalized pair state (c11 = 0 by
     construction) and the outcome probability; the amplitudes are carried
     times 2^-e, e lowered by 256 whenever the product of alphas drops below
-    2^-256, so they never underflow.
+    2^-256, so they never underflow.  A basis whose length is not the
+    state's n raises ``RangeError``, a non-finite angle ``DomainError``.
     """
-    angles = basis.angles
-    if len(angles) != state.n:
+    if len(basis) != state.n:
         raise RangeError(
-            f"basis supplies {len(angles)} angle pairs but the state has n={state.n}"
+            f"basis supplies {len(basis)} angle pairs but the state has n={state.n}"
         )
     c00 = 0j
     prod_alpha = 1.0  # alpha_j of the probes projected so far
     e = 0
-    for (theta, phi), amp in zip(angles, state.amp_r):
+    for (theta, phi), amp in zip(basis, state.amp_r):
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
         alpha = math.cos(theta)
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
         c00 = alpha * c00 + beta * amp * prod_alpha
@@ -234,6 +221,7 @@ def one_angle_gamma(cfg: CouplingConfig, theta1: float, n: int) -> GammaTriple:
     amplitudes (b sin theta1, a^n cos theta1, cos theta1)/sqrt(2) are formed
     by the kernel's operations in its order, and so carry its bits.
     """
+    cfg.check_n(n)
     g3 = _SQRT1_2 * math.cos(theta1)
     g2 = cfg.a ** n * g3
     g1 = cfg.b * _SQRT1_2 * complex(math.sin(theta1), 0.0)
@@ -260,8 +248,8 @@ def per_qubit_distinguishability(cfg: CouplingConfig, i: int) -> float:
     Set during collision i and never modified afterwards, hence independent
     of the total collision count once i has interacted.
     """
-    if not 1 <= i <= cfg.N_total:
-        raise RangeError(f"probe index i={i} outside [1, N_total={cfg.N_total}]")
+    if type(i) is not int or not 1 <= i <= cfg.N_total:
+        raise RangeError(f"probe index i={i!r} is no int in [1, N_total={cfg.N_total}]")
     return (cfg.a ** (i - 1)) ** 2 * abs(cfg.b) ** 2
 
 

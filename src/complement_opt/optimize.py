@@ -12,9 +12,10 @@ later probe at theta = 0 gives x = |b|^2 tan^2(theta_1), which spans [0, inf):
   two lie within ``TIE_TOLERANCE`` the more probable one is reported.
 
 Without coupling (b = 0) no basis changes the pair and theta_1 = 0 is used.
-So an optimum is one angle, ``OptimizationResult.theta1``, and its basis is
-derived from it.  The reported triple and outcome probability come from the
-one-angle closed form ``measurement.one_angle_gamma`` and
+So an optimum is one angle, ``OptimizationResult.theta1``, and its basis, a
+tuple of n (theta, phi) pairs like every basis, is derived from it.  The
+reported triple and outcome probability come from the one-angle closed form
+``measurement.one_angle_gamma`` and
 ``complementarity_after`` in O(1) per n; a test checks them bit for bit
 against ``gamma_coefficients`` on the derived basis.  The V and P optima sit
 at or within about g*dt of theta_1 = pi/2, which float angles resolve only to
@@ -56,7 +57,7 @@ from .collisions import CouplingConfig, distinguishability_ab, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
 from .errors import DomainError
 from .measurement import (
-    MeasurementBasis, complementarity_after, one_angle_gamma, project_oracle,
+    canonical_angles, complementarity_after, one_angle_gamma, project_oracle,
 )
 
 #: ties among candidate optima, and the most the best may fall short of its closed form
@@ -85,11 +86,12 @@ class OptimizationResult(NamedTuple):
     outcome_probability: float
 
     @property
-    def basis(self) -> MeasurementBasis:
-        """The n angle pairs; theta1 in [0, pi/2] is canonical already."""
+    def basis(self) -> tuple[tuple[float, float], ...]:
+        """The n (theta, phi) pairs, () at n = 0; theta1 in [0, pi/2] is
+        canonical already."""
         if not self.n:
-            return MeasurementBasis(())
-        return MeasurementBasis(((self.theta1, 0.0),) + ((0.0, 0.0),) * (self.n - 1))
+            return ()
+        return ((self.theta1, 0.0),) + ((0.0, 0.0),) * (self.n - 1)
 
 
 def objective_value(t: ComplementarityTriple, objective: Objective) -> float:
@@ -173,8 +175,8 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple
     # objectives; an unrounded key makes a hit return exactly what a miss would compute
     triples: dict[tuple, ComplementarityTriple] = {}
 
-    def basis(free: tuple) -> MeasurementBasis:
-        return MeasurementBasis.from_angles(zip(free[:n], (0.0, *free[n:])))
+    def basis(free: tuple) -> tuple[tuple[float, float], ...]:
+        return tuple(itertools.starmap(canonical_angles, zip(free[:n], (0.0, *free[n:]))))
 
     def value(free: tuple, field: int) -> float:
         t = triples.get(free)
@@ -220,6 +222,6 @@ def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple
         starts = heapq.nlargest(_POLISHED, grid, key=lambda free: value(free, field))
         best, free = max((polish(free, field) for free in starts), key=lambda r: r[0])
         # the canonical angles are exactly the ones value evaluated
-        return best, basis(free).angles
+        return best, basis(free)
 
     return {objective: search(_FIELD[objective]) for objective in Objective}

@@ -27,7 +27,6 @@ from .collisions import distinguishability_ab, evolve_closed_form, make_config, 
 from .errors import ConfigError
 from .measurement import (
     GammaTriple,
-    MeasurementBasis,
     complementarity_after,
     gamma_coefficients,
     per_qubit_distinguishability,
@@ -35,7 +34,7 @@ from .measurement import (
     project_oracle,
 )
 from .optimize import grid_reference_maximum, maximize, objective_value
-from .experiments import PRESETS, preset_config
+from .experiments import PRESETS, _count, preset_config
 
 
 class CheckResult(NamedTuple):
@@ -55,11 +54,12 @@ def _random_case(rng: random.Random, n_cap=20):
     return make_config(g, T, N_total), n
 
 
-def _random_basis(rng: random.Random, n) -> MeasurementBasis:
-    """n angles theta in [0, pi), then n azimuths phi in [0, 2 pi)."""
+def _random_basis(rng: random.Random, n) -> tuple[tuple[float, float], ...]:
+    """n angles theta in [0, pi), then n azimuths phi in [0, 2 pi), paired in
+    probe order; canonical as drawn."""
     thetas = [math.pi * rng.random() for _ in range(n)]
     phis = [2.0 * math.pi * rng.random() for _ in range(n)]
-    return MeasurementBasis.from_angles(zip(thetas, phis))
+    return tuple(zip(thetas, phis))
 
 
 def _sign_fault(gt: GammaTriple):
@@ -86,7 +86,7 @@ def _closure_check(samples: int, seed: int, triple_of) -> CheckResult:
     gaps = []
     for _ in range(samples):
         cfg, n = _random_case(rng)
-        t = triple_of(gamma_coefficients(cfg, _random_basis(rng, n), n))
+        t = triple_of(gamma_coefficients(cfg, _random_basis(rng, n)))
         gaps.append(abs(t.V * t.V + t.P * t.P + t.C * t.C - 1.0))
     return _check(
         "closure-after-measurement", 1e-10, f"{samples} samples", "|V^2+P^2+C^2-1|", gaps
@@ -115,7 +115,7 @@ def _projection_check(samples: int, seed: int) -> CheckResult:
     for _ in range(samples):
         cfg, n = _random_case(rng, n_cap=10)
         basis = _random_basis(rng, n)
-        gt = gamma_coefficients(cfg, basis, n)
+        gt = gamma_coefficients(cfg, basis)
         pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
         expected = postselected_state(gt)
         gaps += (
@@ -168,11 +168,12 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run every check; deterministic for fixed (samples, seed, perturb).
 
-    Raises :class:`ConfigError` unless samples >= 1 and seed >= 0.
+    Raises :class:`ConfigError` unless samples >= 1 and seed >= 0 are
+    integers, no bool.
     """
-    if samples < 1:
+    if _count("samples", samples) < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
+    if _count("seed", seed) < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return [
         _closure_check(samples, seed, _sign_fault if perturb else complementarity_after),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from complement_opt import ExcitationState, MeasurementBasis, TwoQubitPure
+from complement_opt import ExcitationState, TwoQubitPure
 # seeded random cases: the same draws as the verify command's
 from complement_opt.verify import _random_basis as random_basis, _random_case as random_coupling
 
@@ -32,13 +32,14 @@ def reduced_pair_density(state: ExcitationState) -> np.ndarray:
     return rho
 
 
-def dense_projection(state: ExcitationState, basis: MeasurementBasis) -> tuple[np.ndarray, float]:
+def dense_projection(state: ExcitationState, basis) -> tuple[np.ndarray, float]:
     """Project the probes of the full 2^(n+2) state vector, qubit by qubit.
 
-    Builds psi over the axes (A, B, probe 1, ..., probe n), contracts each
-    probe axis in turn with (cos theta_i, exp(i phi_i) sin theta_i) (linear
-    pairing, no conjugation) and returns the normalized pair amplitudes
-    (c00, c01, c10, c11) and the outcome probability.
+    ``basis`` is a tuple of (theta_i, phi_i) pairs in probe order.  Builds psi
+    over the axes (A, B, probe 1, ..., probe n), contracts each probe axis in
+    turn with (cos theta_i, exp(i phi_i) sin theta_i) (linear pairing, no
+    conjugation) and returns the normalized pair amplitudes (c00, c01, c10,
+    c11) and the outcome probability.
     """
     n = state.n
     psi = np.zeros((2,) * (n + 2), dtype=complex)
@@ -47,7 +48,7 @@ def dense_projection(state: ExcitationState, basis: MeasurementBasis) -> tuple[n
     psi[(1, 0) + vacuum] = state.amp_a
     for i, amp in enumerate(state.amp_r):
         psi[(0, 0) + tuple(int(j == i) for j in range(n))] = amp
-    for theta, phi in basis.angles:
+    for theta, phi in basis:
         probe = np.array([math.cos(theta), cmath.exp(1j * phi) * math.sin(theta)])
         psi = np.tensordot(psi, probe, axes=([2], [0]))
     pair = psi.reshape(4)

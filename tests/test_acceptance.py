@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from complement_opt import (
-    MeasurementBasis,
     Objective,
     TwoQubitPure,
     complementarity_after,
@@ -54,7 +53,7 @@ def test_c01_closure_after_measurement():
     gaps = []
     for _ in range(1000):
         cfg, n = random_coupling(rng)
-        gt = gamma_coefficients(cfg, random_basis(rng, n), n)
+        gt = gamma_coefficients(cfg, random_basis(rng, n))
         gaps.append(abs(complementarity_after(gt).closure_residual))
     worst = _worst(gaps)
     elapsed = time.perf_counter() - started
@@ -72,7 +71,7 @@ def test_c02_postselection_dual_route():
     for _ in range(500):
         cfg, n = random_coupling(rng, n_cap=10)
         basis = random_basis(rng, n)
-        gt = gamma_coefficients(cfg, basis, n)
+        gt = gamma_coefficients(cfg, basis)
         pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
         expected = postselected_state(gt)
         gaps += (
@@ -150,7 +149,7 @@ def _erratum_reference(key, witness_angles):
     objective = Objective(objective_name)
     state, _ = project_oracle(
         oracle_evolve(preset_config(preset), n),
-        MeasurementBasis.from_angles(witness_angles),
+        tuple(witness_angles),
     )
     # The tabulated amplitudes are rounded to two digits (norm 0.995 for this
     # cell), so they are renormalized before their objective is evaluated.

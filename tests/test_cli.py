@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from complement_opt import Objective, cli, verify
+from complement_opt import ConfigError, Objective, cli, verify
 from complement_opt.cli import FIELDS, main
 from complement_opt.experiments import EXPERIMENTS, PRESETS
 from helpers import package_env
@@ -379,6 +379,16 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert "configuration error" in err
         assert out == ""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 2.5}, {"samples": "5"}, {"samples": True},
+        {"seed": 1.5}, {"seed": "0"}, {"seed": False},
+    ])
+    def test_mistyped_argument_config_error(self, kwargs):
+        # a bool is no count, though operator.index(True) is 1
+        name, = kwargs
+        with pytest.raises(ConfigError, match=name):
+            verify.run_verification(**kwargs)
 
     def test_verify_passes(self, capsys):
         assert run_cli("verify", "--samples", "40", "--seed", "7") == 0

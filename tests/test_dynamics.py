@@ -1,19 +1,27 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from complement_opt import (
     DomainError,
+    Objective,
     RangeError,
     continuous_limit_gap,
+    curve,
     distinguishability_ab,
     evolve_closed_form,
+    grid_reference_maximum,
     make_config,
+    maximize,
     oracle_evolve,
+    per_qubit_distinguishability,
     reservoir_limit_concurrence,
+    uniform_gamma,
 )
+from complement_opt.measurement import one_angle_gamma
 from helpers import (
     random_coupling,
     reduced_pair_density,
@@ -149,6 +157,28 @@ class TestEvolution:
             evolve_closed_form(strong, n)
         with pytest.raises(RangeError):
             oracle_evolve(strong, n)
+
+
+#: every function that takes a collision count or a probe index, called with count k
+COUNT_TAKERS = {
+    "evolve_closed_form": lambda cfg, k: evolve_closed_form(cfg, k),
+    "oracle_evolve": lambda cfg, k: oracle_evolve(cfg, k),
+    "distinguishability_ab": lambda cfg, k: distinguishability_ab(cfg, k),
+    "per_qubit_distinguishability": lambda cfg, k: per_qubit_distinguishability(cfg, k),
+    "uniform_gamma": lambda cfg, k: uniform_gamma(cfg, 0.3, 0.0, k),
+    "one_angle_gamma": lambda cfg, k: one_angle_gamma(cfg, 0.3, k),
+    "maximize": lambda cfg, k: maximize(cfg, k, Objective.VISIBILITY),
+    "curve": lambda cfg, k: curve(cfg, Objective.VISIBILITY, k),
+    "grid_reference_maximum": lambda cfg, k: grid_reference_maximum(cfg, k),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True])
+@pytest.mark.parametrize("function", COUNT_TAKERS)
+def test_count_that_is_no_int_raises_range_error(strong, function, count):
+    # a float or a bool is no count, though it compares like one
+    with pytest.raises(RangeError, match=re.escape(f"={count!r} is no int")):
+        COUNT_TAKERS[function](strong, count)
 
 
 class TestPairDistinguishability:

@@ -215,7 +215,7 @@ class TestTableStates:
                 cfg = preset_config(preset)
                 for n in TABLE_NS:
                     basis = maximize(cfg, n, objective).basis
-                    state = postselected_state(gamma_coefficients(cfg, basis, n))
+                    state = postselected_state(gamma_coefficients(cfg, basis))
                     amps = (state.c00, state.c01, state.c10)
                     reference = next(c for c in (state.c10, state.c00, state.c01) if abs(c) > 1e-6)
                     if reference.imag == 0.0 and reference.real > 0.0:

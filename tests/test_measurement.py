@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from complement_opt import (
     DomainError,
     GammaTriple,
-    MeasurementBasis,
     RangeError,
     complementarity_after,
     delta_d_pair,
@@ -57,7 +56,7 @@ def fmod_canonical_angles(theta, phi):
     return theta, phi
 
 
-class TestMeasurementBasis:
+class TestAngles:
     def test_canonicalization(self):
         theta, phi = canonical_angles(-0.1, 7.0)
         assert theta == pytest.approx(math.pi - 0.1)
@@ -93,23 +92,25 @@ class TestMeasurementBasis:
                 with pytest.raises(DomainError, match="finite"):
                     canonical_angles(theta, phi)
 
-    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize("theta, phi", [
+        (math.nan, 0.0), (0.3, math.nan), (math.inf, 0.0), (-math.inf, 0.0),
+        (0.3, math.inf), (0.3, -math.inf),
+    ])
     def test_non_finite_angles_rejected(self, strong, theta, phi):
-        with pytest.raises(DomainError, match="finite"):
-            gamma_coefficients(strong, MeasurementBasis.from_angles([(theta, phi)]), 1)
+        # the basis reaches both routes as given, through no canonicalizing
+        # helper, with the bad pair first or after a finite one
+        for basis in (((theta, phi),), ((0.3, 0.2), (theta, phi))):
+            with pytest.raises(DomainError, match="finite"):
+                gamma_coefficients(strong, basis)
+            with pytest.raises(DomainError, match="finite"):
+                project_oracle(oracle_evolve(strong, len(basis)), basis)
         with pytest.raises(DomainError, match="finite"):
             uniform_gamma(strong, theta, phi, 1)
-
-    def test_basis_construction(self):
-        basis = MeasurementBasis.from_angles([(3.5, -1.0), (0.2, 0.3)])
-        assert len(basis) == 2
-        assert all(0.0 <= t < math.pi for t, _ in basis.angles)
-        assert all(0.0 <= p < 2.0 * math.pi for _, p in basis.angles)
 
 
 class TestGammaCoefficients:
     def test_empty_basis_returns_bell(self, strong):
-        gt = gamma_coefficients(strong, MeasurementBasis(()), 0)
+        gt = gamma_coefficients(strong, ())
         assert gt.gamma1 == 0.0
         assert gt.gamma2 == pytest.approx(SQRT1_2)
         assert gt.gamma3 == pytest.approx(SQRT1_2)
@@ -118,14 +119,14 @@ class TestGammaCoefficients:
     def test_bookkeeping_is_python_float(self, strong):
         # numpy scalars must not leak into results, CSVs or manifests
         for n in (0, 1, 6):
-            gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(0.3, 0.2)] * n), n)
+            gt = gamma_coefficients(strong, ((0.3, 0.2),) * n)
             assert type(gt.outcome_probability) is float
         gt = uniform_gamma(strong, 0.3, 0.2, 6)
         assert type(gt.outcome_probability) is float
 
     def test_all_zero_angles(self, strong):
         n = 6
-        gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(0.0, 0.0)] * n), n)
+        gt = gamma_coefficients(strong, ((0.0, 0.0),) * n)
         assert gt.gamma1 == 0.0
         assert gt.gamma2 == pytest.approx(strong.a**n * SQRT1_2, abs=1e-15)
         assert gt.gamma3 == pytest.approx(SQRT1_2)
@@ -135,7 +136,7 @@ class TestGammaCoefficients:
         for _ in range(150):
             cfg, n = random_coupling(rng, n_cap=8)
             basis = random_basis(rng, n)
-            gt = gamma_coefficients(cfg, basis, n)
+            gt = gamma_coefficients(cfg, basis)
             pure, prob = project_oracle(oracle_evolve(cfg, n), basis)
             expected = postselected_state(gt)
             assert prob == pytest.approx(gt.outcome_probability, abs=1e-12)
@@ -144,16 +145,12 @@ class TestGammaCoefficients:
             assert abs(pure.c10 - expected.c10) <= 1e-10
             assert pure.c11 == 0.0
 
-    def test_length_mismatch(self, strong):
-        with pytest.raises(RangeError):
-            gamma_coefficients(strong, MeasurementBasis.from_angles([(0.1, 0.0)] * 3), 4)
-
     def test_degenerate_outcome(self, strong):
         # two probes at theta = pi/2 leave an improbable record, which is
         # evaluated; twenty leave one whose probability underflows to 0.0, and
         # both routes still normalize it
-        basis = MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 2)
-        gt = gamma_coefficients(strong, basis, 2)
+        basis = ((math.pi / 2.0, 0.0),) * 2
+        gt = gamma_coefficients(strong, basis)
         pure, prob = project_oracle(oracle_evolve(strong, 2), basis)
         assert 0.0 < gt.outcome_probability < 1e-30
         assert prob == pytest.approx(gt.outcome_probability, rel=1e-12, abs=0.0)
@@ -161,15 +158,15 @@ class TestGammaCoefficients:
         assert t.P == pytest.approx(1.0, abs=1e-12)
         assert abs(t.closure_residual) <= 1e-10
         assert abs(pure.c00 - postselected_state(gt).c00) <= 1e-12
-        basis = MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 20)
-        gt = gamma_coefficients(strong, basis, 20)
+        basis = ((math.pi / 2.0, 0.0),) * 20
+        gt = gamma_coefficients(strong, basis)
         pure, prob = project_oracle(oracle_evolve(strong, 20), basis)
         assert gt.outcome_probability == prob == 0.0
         assert complementarity_after(gt).P == pytest.approx(1.0, abs=1e-12)
         assert abs(pure.c10 - postselected_state(gt).c10) <= 1e-12
 
     def test_theta_pi_over_2_single_probe_is_regular(self, strong):
-        gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(math.pi / 2.0, 0.7)]), 1)
+        gt = gamma_coefficients(strong, ((math.pi / 2.0, 0.7),))
         assert abs(gt.gamma1) == pytest.approx(abs(strong.b) * SQRT1_2, abs=1e-12)
         assert gt.outcome_probability == pytest.approx(abs(strong.b) ** 2 / 2.0, abs=1e-12)
 
@@ -196,13 +193,13 @@ class TestProjectOracle:
         # one such probe leaves a probable record, two an improbable one;
         # both are projected like any other
         rng = random.Random(25 + n)
-        angles = list(random_basis(rng, n).angles)
+        angles = list(random_basis(rng, n))
         state = oracle_evolve(strong, n)
         angles[-1] = (math.pi / 2.0, angles[-1][1])
-        assert_matches_dense(state, MeasurementBasis.from_angles(angles))
+        assert_matches_dense(state, tuple(angles))
         if n >= 2:
             angles[0] = (math.pi / 2.0, angles[0][1])
-            basis = MeasurementBasis.from_angles(angles)
+            basis = tuple(angles)
             assert 0.0 < dense_projection(state, basis)[1] < 1e-30
             assert_matches_dense(state, basis)
 
@@ -230,7 +227,7 @@ class TestProjectOracle:
         def bits(theta, probe_phi):
             chosen = list(angles)
             chosen[i] = (theta, probe_phi)
-            pure, _ = project_oracle(state, MeasurementBasis.from_angles(chosen))
+            pure, _ = project_oracle(state, tuple(chosen))
             return [x.hex() for x in triple(pure)]
 
         for theta in (0.0, -0.0):
@@ -242,7 +239,7 @@ class TestProjectOracle:
         state = oracle_evolve(strong, 2)
         triples = set()
         for phi in (0.0, 1.0, 2.0):
-            pure, _ = project_oracle(state, MeasurementBasis.from_angles([(0.7, 0.0), (0.3, phi)]))
+            pure, _ = project_oracle(state, ((0.7, 0.0), (0.3, phi)))
             triples.add(triple(pure))
         assert len(triples) == 3
 
@@ -255,9 +252,9 @@ class TestProjectOracle:
             measurement, "_running_products", lambda values: [(1.1 * p, e) for p, e in shared(values)]
         )
         assert not verify._projection_check(300, 3).passed
-        basis = MeasurementBasis.from_angles([(0.7, 0.3)] * 3)
+        basis = ((0.7, 0.3),) * 3
         pure, _ = project_oracle(oracle_evolve(strong, 3), basis)
-        expected = postselected_state(gamma_coefficients(strong, basis, 3))
+        expected = postselected_state(gamma_coefficients(strong, basis))
         gaps = (pure.c00 - expected.c00, pure.c01 - expected.c01, pure.c10 - expected.c10)
         assert max(map(abs, gaps)) > 1e-3
 
@@ -279,9 +276,9 @@ NEAR_HALF_PI = st.integers(-64, 64).map(lambda k: math.pi / 2.0 + k * math.ulp(m
 
 def both_routes(cfg, angles):
     """The kernel's GammaTriple and the oracle's (state, probability) of one record."""
-    basis = MeasurementBasis.from_angles(angles)
+    basis = tuple(angles)
     n = len(basis)
-    return gamma_coefficients(cfg, basis, n), project_oracle(oracle_evolve(cfg, n), basis)
+    return gamma_coefficients(cfg, basis), project_oracle(oracle_evolve(cfg, n), basis)
 
 
 class TestRescaledProducts:
@@ -342,10 +339,8 @@ class TestProbabilityAccounting:
                 theta = rng.uniform(0.0, math.pi)
                 phi = rng.uniform(0.0, 2.0 * math.pi)
                 state = oracle_evolve(cfg, 1)
-                _, p_hit = project_oracle(state, MeasurementBasis.from_angles([(theta, phi)]))
-                _, p_miss = project_oracle(
-                    state, MeasurementBasis.from_angles([orthogonal_pair_angles(theta, phi)])
-                )
+                _, p_hit = project_oracle(state, ((theta, phi),))
+                _, p_miss = project_oracle(state, (orthogonal_pair_angles(theta, phi),))
                 assert p_hit + p_miss == pytest.approx(1.0, abs=1e-12)
 
     def test_complete_outcome_set_sums_to_one(self, strong):
@@ -359,7 +354,7 @@ class TestProbabilityAccounting:
                 pairs[i] if not bits & (1 << i) else orthogonal_pair_angles(*pairs[i])
                 for i in range(n)
             ]
-            _, prob = project_oracle(state, MeasurementBasis.from_angles(chosen))
+            _, prob = project_oracle(state, tuple(chosen))
             total += prob
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -367,7 +362,7 @@ class TestProbabilityAccounting:
         rng = random.Random(24)
         for _ in range(100):
             cfg, n = random_coupling(rng, n_cap=10)
-            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
+            gt = gamma_coefficients(cfg, random_basis(rng, n))
             assert 0.0 < gt.outcome_probability <= 1.0 + 1e-12
 
 
@@ -388,7 +383,7 @@ class TestUniformGamma:
             for theta, phi in cases + near_edges:
                 for n in (0, 1, 2, 5):
                     u = uniform_gamma(cfg, theta, phi, n)
-                    g = gamma_coefficients(cfg, MeasurementBasis.from_angles([(theta, phi)] * n), n)
+                    g = gamma_coefficients(cfg, ((theta, phi),) * n)
                     tu, tg = complementarity_after(u), complementarity_after(g)
                     assert abs(tu.V - tg.V) <= 1e-12
                     assert abs(tu.P - tg.P) <= 1e-12
@@ -412,9 +407,7 @@ class TestUniformGamma:
 
     def test_many_probes_at_pi_over_2_are_improbable(self, weak):
         gt = uniform_gamma(weak, math.pi / 2.0, 0.0, 4)
-        per_probe = gamma_coefficients(
-            weak, MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 4), 4
-        )
+        per_probe = gamma_coefficients(weak, ((math.pi / 2.0, 0.0),) * 4)
         assert 0.0 < gt.outcome_probability < 1e-90
         assert gt.outcome_probability == pytest.approx(
             per_probe.outcome_probability, rel=1e-12, abs=0.0
@@ -425,9 +418,7 @@ class TestUniformGamma:
         # at n = 20 both routes' probabilities underflow to 0.0, and both
         # still normalize the record
         shared = uniform_gamma(weak, math.pi / 2.0, 0.0, 20)
-        per_probe = gamma_coefficients(
-            weak, MeasurementBasis.from_angles([(math.pi / 2.0, 0.0)] * 20), 20
-        )
+        per_probe = gamma_coefficients(weak, ((math.pi / 2.0, 0.0),) * 20)
         assert shared.outcome_probability == per_probe.outcome_probability == 0.0
         t, tp = complementarity_after(shared), complementarity_after(per_probe)
         assert t.P == pytest.approx(1.0, abs=1e-12)
@@ -436,14 +427,12 @@ class TestUniformGamma:
 
 class TestComplementarityAfter:
     def test_no_measurement_bell(self, strong):
-        t = complementarity_after(gamma_coefficients(strong, MeasurementBasis(()), 0))
+        t = complementarity_after(gamma_coefficients(strong, ()))
         assert (t.V, t.P, t.C) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
 
     def test_all_zero_basis_weak_20(self, weak):
         n = 20
-        t = complementarity_after(
-            gamma_coefficients(weak, MeasurementBasis.from_angles([(0.0, 0.0)] * n), n)
-        )
+        t = complementarity_after(gamma_coefficients(weak, ((0.0, 0.0),) * n))
         a_n = weak.a**n
         assert t.C == pytest.approx(2 * a_n / (1 + a_n * a_n), abs=1e-12)
         assert t.V == 0.0
@@ -461,14 +450,14 @@ class TestComplementarityAfter:
         rng = random.Random(26)
         for _ in range(300):
             cfg, n = random_coupling(rng, n_cap=12)
-            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
+            gt = gamma_coefficients(cfg, random_basis(rng, n))
             assert abs(complementarity_after(gt).closure_residual) <= 1e-10
 
     def test_matches_pure_state_route(self):
         rng = random.Random(27)
         for _ in range(100):
             cfg, n = random_coupling(rng, n_cap=8)
-            gt = gamma_coefficients(cfg, random_basis(rng, n), n)
+            gt = gamma_coefficients(cfg, random_basis(rng, n))
             direct = complementarity_after(gt)
             via_state = triple(postselected_state(gt))
             assert direct.V == pytest.approx(via_state.V, abs=1e-10)
@@ -535,7 +524,7 @@ class TestDeltaD:
         v = result.achieved.V
         value = delta_d_pair(strong, 10, v)
         assert value == pytest.approx(1.0 - strong.a**20, abs=1e-6)
-        t = triple(postselected_state(gamma_coefficients(strong, result.basis, 10)))
+        t = triple(postselected_state(gamma_coefficients(strong, result.basis)))
         assert math.sqrt(max(0.0, 1.0 - v * v)) == pytest.approx(
             math.hypot(t.C, t.P), abs=1e-10
         )

@@ -8,7 +8,6 @@ import pytest
 from complement_opt import (
     ComplementarityTriple,
     DomainError,
-    MeasurementBasis,
     Objective,
     complementarity_after,
     curve,
@@ -22,7 +21,7 @@ from complement_opt import (
     project_oracle,
     triple,
 )
-from complement_opt.measurement import one_angle_gamma
+from complement_opt.measurement import canonical_angles, one_angle_gamma
 from complement_opt.optimize import TIE_TOLERANCE
 from helpers import random_basis, random_coupling
 
@@ -60,7 +59,7 @@ class TestMaximizeBasics:
         result = maximize(strong, 3, Objective.VISIBILITY)
         achieved = result.achieved.V
         for start in (0.0, math.pi / 4.0):
-            gt = gamma_coefficients(strong, MeasurementBasis.from_angles([(start, 0.0)] * 3), 3)
+            gt = gamma_coefficients(strong, ((start, 0.0),) * 3)
             assert achieved >= complementarity_after(gt).V - 1e-9
 
     def test_dominates_random_bases(self, strong, weak):
@@ -70,7 +69,7 @@ class TestMaximizeBasics:
                 for objective in Objective:
                     best = objective_value(maximize(cfg, n, objective).achieved, objective)
                     for _ in range(100):
-                        gt = gamma_coefficients(cfg, random_basis(rng, n), n)
+                        gt = gamma_coefficients(cfg, random_basis(rng, n))
                         value = objective_value(complementarity_after(gt), objective)
                         assert value <= best + 1e-12
 
@@ -119,10 +118,10 @@ class TestAgainstTheKernel:
                     theta1 = result.theta1
                     assert type(theta1) is float and 0.0 <= theta1 <= math.pi / 2.0
                     angles = ((theta1, 0.0),) + ((0.0, 0.0),) * (n - 1) if n else ()
-                    assert result.basis.angles == angles
-                    # canonical already: from_angles leaves every angle as it is
-                    assert MeasurementBasis.from_angles(angles).angles == angles
-                    gt = gamma_coefficients(cfg, result.basis, n)
+                    assert result.basis == angles
+                    # canonical already: canonical_angles leaves every angle as it is
+                    assert tuple(canonical_angles(*pair) for pair in angles) == angles
+                    gt = gamma_coefficients(cfg, result.basis)
                     kernel = (*complementarity_after(gt), gt.outcome_probability)
                     reported = (*result.achieved, result.outcome_probability)
                     where = (cfg, n, objective)
@@ -190,7 +189,7 @@ class TestDeterminism:
     def test_bit_for_bit_repeatability(self, weak):
         a = maximize(weak, 5, Objective.VISIBILITY)
         b = maximize(weak, 5, Objective.VISIBILITY)
-        assert a.basis.angles == b.basis.angles
+        assert a.basis == b.basis
         assert a.achieved == b.achieved
         assert a.outcome_probability == b.outcome_probability
 
@@ -235,14 +234,14 @@ class TestAgainstAnalyticOptima:
     def test_weak_concurrence_state_n10(self, weak):
         result = maximize(weak, 10, Objective.CONCURRENCE)
         assert result.achieved.C >= 0.98
-        state = postselected_state(gamma_coefficients(weak, result.basis, 10))
+        state = postselected_state(gamma_coefficients(weak, result.basis))
         assert abs(state.c01) == pytest.approx(0.69, abs=0.03)
         assert abs(state.c10) == pytest.approx(0.72, abs=0.03)
 
     def test_strong_concurrence_collapse_n10(self, strong):
         result = maximize(strong, 10, Objective.CONCURRENCE)
         assert result.achieved.C <= 0.05
-        state = postselected_state(gamma_coefficients(strong, result.basis, 10))
+        state = postselected_state(gamma_coefficients(strong, result.basis))
         assert abs(state.c10) >= 0.999
 
 
@@ -257,7 +256,7 @@ class TestCurves:
 def oracle_objective(cfg, n, angles, objective):
     """Objective of a basis through the sequential-collision state, direct
     projection and the pure-state formulas, bypassing the shared kernel."""
-    pure, _ = project_oracle(oracle_evolve(cfg, n), MeasurementBasis.from_angles(angles))
+    pure, _ = project_oracle(oracle_evolve(cfg, n), tuple(angles))
     return objective_value(triple(pure), objective)
 
 
@@ -267,7 +266,7 @@ class TestGridReference:
         rng = random.Random(23)
         for _ in range(200):
             cfg, n = random_coupling(rng, n_cap=4)
-            angles = random_basis(rng, n).angles
+            angles = random_basis(rng, n)
             delta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
             shifted = [(theta, phi + delta) for theta, phi in angles]
             before = [oracle_objective(cfg, n, angles, o) for o in Objective]
@@ -283,7 +282,7 @@ class TestGridReference:
             cfg, n = random_coupling(rng, n_cap=4)
             if n == 0:
                 continue
-            angles = random_basis(rng, n).angles
+            angles = random_basis(rng, n)
             i = rng.randrange(n)
             theta, phi = angles[i]
             mirrored = list(angles)
@@ -335,8 +334,8 @@ class TestGridReference:
             return v + 0.5, p, c
 
         monkeypatch.setattr(measurement, "_complementarity_from_moduli", inflated)
-        basis = MeasurementBasis.from_angles([(0.4, 0.0)])
-        assert complementarity_after(gamma_coefficients(strong, basis, 1)).V > 1.0
+        basis = ((0.4, 0.0),)
+        assert complementarity_after(gamma_coefficients(strong, basis)).V > 1.0
         value, _ = grid_reference_maximum(strong, 1)[Objective.VISIBILITY]
         assert value == pytest.approx(analytic_visibility_max(strong, 1), abs=1e-6)
 
