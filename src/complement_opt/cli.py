@@ -130,11 +130,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Keeps an option value ``--`` (``--out=--``), which Python 3.11 turns into ``[]``."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared: building it costs
     more than a small run, so callers must not modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="complement-opt",
         description=(
             "Collision-model entanglement studies: optimize probe measurement "

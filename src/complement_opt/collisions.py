@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, check_count, check_real
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -50,27 +50,20 @@ class CouplingConfig(NamedTuple):
 
     def check_n(self, n: int) -> None:
         """``RangeError`` unless n is an int (no bool) in [0, N_total]."""
-        if type(n) is not int or not 0 <= n <= self.N_total:
-            raise RangeError(
-                f"collision count n={n!r} is no int in [0, N_total={self.N_total}]"
-            )
+        check_count(n, "collision count n", RangeError, 0, self.N_total)
 
 
 def make_config(g: float, T: float, N_total: int) -> CouplingConfig:
     """Validate physical parameters and derive per-collision constants.
 
-    Requires finite g >= 0, T > 0 and N_total >= 1, and g*dt < pi/2 (the
+    Requires real g >= 0 and T > 0, an int N_total >= 1, and g*dt < pi/2 (the
     exchange rotation must stay short of a full excitation swap).
     """
-    if not all(math.isfinite(x) for x in (g, T, N_total)):
-        raise DomainError(f"g, T and N_total must be finite, got {g}, {T}, {N_total}")
-    if N_total < 1 or int(N_total) != N_total:
-        raise DomainError(f"N_total must be a positive integer, got {N_total}")
-    if not T > 0:
-        raise DomainError(f"T must be positive, got {T}")
-    if g < 0:
-        raise DomainError(f"g must be non-negative, got {g}")
-    N_total = int(N_total)
+    check_real(g, "g", 0.0)
+    check_real(T, "T", 0.0)
+    check_count(N_total, "N_total", DomainError, 1)
+    if T == 0:
+        raise DomainError(f"T must be positive, got {T!r}")
     dt = T / N_total
     if g > 0 and not g * dt < math.pi / 2:
         raise DomainError(
@@ -147,8 +140,8 @@ def distinguishability_ab(cfg: CouplingConfig, n: int) -> float:
 
 def reservoir_limit_concurrence(k: float, t: float) -> float:
     """Pair concurrence in the many-probe (Markovian) limit, exp(-k t / 2)."""
-    if not (0.0 <= k < math.inf and 0.0 <= t < math.inf):
-        raise DomainError(f"rate k and time t must be finite and >= 0, got k={k}, t={t}")
+    check_real(k, "rate k", 0.0)
+    check_real(t, "time t", 0.0)
     return math.exp(-k * t / 2.0)
 
 
@@ -159,8 +152,7 @@ def continuous_limit_gap(k: float, T: float, N: int) -> float:
     Shrinks like 1/N; used to tabulate convergence toward the exponential
     decay law.
     """
-    if N < 1:
-        raise DomainError(f"N must be a positive integer, got {N}")
+    check_count(N, "N", DomainError, 1)
     limit = reservoir_limit_concurrence(k, T)
     x = k * T / N
     if math.sqrt(x) >= math.pi / 2:

@@ -1,9 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule each for
+every count (``check_count``) and every real number (``check_real``)."""
+import math
+import sys
 
 
 class ConfigError(ValueError):
     """A run names an unknown experiment, preset or objective, lacks a field
-    its study reads, or has a count out of range."""
+    its study reads, or has a count or a real number that breaks its rule."""
 
 
 class DomainError(ValueError):
@@ -16,3 +19,18 @@ class RangeError(ValueError):
 
 class NormalizationError(ValueError):
     """A state vector deviates from unit norm beyond tolerance."""
+
+
+def check_count(value, name: str, error: type[ValueError], low=0, high=math.inf) -> None:
+    """``error`` naming ``name`` unless ``value`` is an int (no bool) in [low, high]."""
+    if type(value) is not int or not low <= value <= high:
+        raise error(f"{name}={value!r} is no int in [{low}, {high}]")
+
+
+def check_real(value, name: str, low: float = -math.inf) -> None:
+    """:class:`ConfigError` naming ``name`` unless ``value`` is an int or a float
+    (no bool); :class:`DomainError` unless it is >= low and a finite float."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} takes real numbers, got {value!r}")
+    if not (low <= value and abs(value) <= sys.float_info.max):
+        raise DomainError(f"{name} must be finite and >= {low}, got {value!r}")

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,7 +33,7 @@ from .collisions import (
     make_config,
     reservoir_limit_concurrence,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, check_count, check_real
 from .measurement import (
     complementarity_after,
     delta_d_pair,
@@ -219,7 +219,7 @@ def run_continuous_limit_convergence(
     k: float, T: float, N_list: Iterable[int]
 ) -> list[tuple[int, float]]:
     """(N, |cos^N sqrt(kT/N) - exp(-kT/2)|) along an N schedule."""
-    return [(int(N), continuous_limit_gap(k, T, int(N))) for N in N_list]
+    return [(N, continuous_limit_gap(k, T, N)) for N in N_list]
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +275,24 @@ EXPERIMENTS: dict[str, Experiment] = {
 _CELL_FORMATS = {int: "%d", float: _FLOAT, str: "%s"}
 
 
+@contextmanager
+def _published(path: Path) -> Iterator[Path]:
+    """A sibling ``<name>.part`` to write, renamed onto ``path`` when the block
+    ends, or deleted, leaving ``path`` as it was, when the block raises."""
+    partial = path.with_name(path.name + ".part")
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> None:
     """Stream the CSV to disk row by row, in memory independent of its length.
 
-    The directory is created only once the first row is computed.  Rows go to
-    a sibling ``<name>.part`` file, which replaces ``path`` after the last
-    row, so ``path`` holds a whole CSV or is left as it was: an exception
-    from ``rows`` or the disk deletes the partial file and propagates.
+    The directory is created once the first row is computed; rows go to a
+    ``_published`` file, so a failure leaves ``path`` as it was.
 
     Every row is written with one %-format, built from the first row's cell
     types.  Each study yields one type per column, so the first row's types
@@ -290,18 +301,12 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> None
     rows = iter(rows)
     first = next(rows, None)
     path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".part")
-    try:
-        with open(partial, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            if first is not None:
-                row_format = ",".join([_CELL_FORMATS[type(x)] for x in first]) + "\n"
-                handle.write(row_format % first)
-                handle.writelines(map(row_format.__mod__, rows))
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with _published(path) as partial, open(partial, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        if first is not None:
+            row_format = ",".join([_CELL_FORMATS[type(x)] for x in first]) + "\n"
+            handle.write(row_format % first)
+            handle.writelines(map(row_format.__mod__, rows))
 
 
 def _file_stem(spec: ExperimentSpec, fields: Sequence[str]) -> str:
@@ -329,27 +334,6 @@ def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
     return record
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int, or :class:`ConfigError` naming ``name`` (a spec
-    field, or a ``run_verification`` argument) when ``value`` is no integer (a
-    float such as 2.0 or nan included) or a bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"field {name!r} takes integers, got {value!r}")
-
-
-def _finite(name: str, value) -> bool:
-    """Whether ``value`` is finite, or :class:`ConfigError` naming field
-    ``name`` when ``value`` is no real number (a str or a complex)."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        raise ConfigError(f"field {name!r} takes real numbers, got {value!r}") from None
-
-
 def _checked(spec: ExperimentSpec) -> Experiment:
     """The registry entry of ``spec`` once every field of ``spec`` is in range,
     whether or not its study reads the field."""
@@ -366,22 +350,18 @@ def _checked(spec: ExperimentSpec) -> Experiment:
                 raise ConfigError(f"experiment {spec.name!r} needs field {name!r}{hint}")
         elif not isinstance(value, kind):
             raise ConfigError(f"field {name!r} takes a {kind.__name__}, got {value!r}")
-    if _count("n_max", spec.n_max) < 0:
-        raise ConfigError(f"field 'n_max' must be >= 0, got {spec.n_max}")
-    if _count("theta_steps", spec.theta_steps) < 1:
-        raise ConfigError(f"field 'theta_steps' must be >= 1, got {spec.theta_steps}")
-    if not isinstance(spec.limit_N, Sequence):
-        raise ConfigError(f"field 'limit_N' takes a sequence of integers, got {spec.limit_N!r}")
-    if not spec.limit_N:
-        raise ConfigError("field 'limit_N' must list at least one N")
+    check_count(spec.n_max, "field 'n_max'", ConfigError)
+    check_count(spec.theta_steps, "field 'theta_steps'", ConfigError, 1)
+    if not isinstance(spec.limit_N, Sequence) or not spec.limit_N:
+        raise ConfigError(f"field 'limit_N' takes a non-empty sequence, got {spec.limit_N!r}")
     for N in spec.limit_N:
-        _count("limit_N", N)
-    if not _finite("phi", spec.phi):
-        raise DomainError(f"field 'phi' must be finite, got {spec.phi!r}")
+        # an N below 1 is left to continuous_limit_gap, a DomainError
+        check_count(N, "field 'limit_N'", ConfigError, -math.inf)
+    check_real(spec.phi, "field 'phi'")
     for name in ("reservoir_k", "limit_k", "limit_T"):
         value = getattr(spec, name)
-        if value is not None and not (_finite(name, value) and value >= 0.0):
-            raise DomainError(f"field {name!r} must be finite and >= 0, got {value!r}")
+        if value is not None:
+            check_real(value, f"field {name!r}", 0.0)
     return experiment
 
 
@@ -394,12 +374,12 @@ def run_experiment(
     Every field is checked before anything is computed or written: a bad one
     raises :class:`ConfigError` (unknown experiment, missing field, a ``cfg``
     that is no :class:`CouplingConfig` or an ``objective`` no
-    :class:`Objective`, a count that is a bool, no integer or out of range, a
-    float field that is no real number, a ``limit_N`` that is no sequence) or
-    :class:`DomainError` (a non-finite float, a negative rate or time).  The
+    :class:`Objective`, a count that fails ``check_count``, a real field that
+    is no int or float, a ``limit_N`` that is no sequence) or
+    :class:`DomainError` (a non-finite real, a negative rate or time).  The
     errors the studies raise themselves (``n_max`` above ``N`` and the like)
     come with their first row at the latest, before the directory is created.
-    The CSV appears whole or not at all, and the manifest after it.  Returns
+    The CSV, then the manifest, appears whole or not at all.  Returns
     {"csv": Path, "manifest": Path}.  Layout is
     ``<out_dir>/<experiment>/<preset>-<objective>.csv``, each component
     dropped when the study does not read it, with ``manifest.json`` alongside;
@@ -425,5 +405,6 @@ def run_experiment(
         "outputs": [csv_path.name],
     }
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    with _published(manifest_path) as partial:
+        partial.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return {"csv": csv_path, "manifest": manifest_path}

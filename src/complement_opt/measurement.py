@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .collisions import CouplingConfig, ExcitationState, distinguishability_ab
 from .complementarity import ComplementarityTriple, TwoQubitPure
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, check_count
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -248,8 +248,7 @@ def per_qubit_distinguishability(cfg: CouplingConfig, i: int) -> float:
     Set during collision i and never modified afterwards, hence independent
     of the total collision count once i has interacted.
     """
-    if type(i) is not int or not 1 <= i <= cfg.N_total:
-        raise RangeError(f"probe index i={i!r} is no int in [1, N_total={cfg.N_total}]")
+    check_count(i, "probe index i", RangeError, 1, cfg.N_total)
     return (cfg.a ** (i - 1)) ** 2 * abs(cfg.b) ** 2
 
 

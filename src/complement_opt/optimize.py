@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from .collisions import CouplingConfig, distinguishability_ab, oracle_evolve
 from .complementarity import ComplementarityTriple, triple as pure_triple
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .measurement import (
     canonical_angles, complementarity_after, one_angle_gamma, project_oracle,
 )
@@ -104,6 +104,8 @@ def maximize(cfg: CouplingConfig, n: int, objective: Objective) -> OptimizationR
     probable wins, and a best V or P more than that below its closed form
     raises ``DomainError``."""
     cfg.check_n(n)
+    if not isinstance(objective, Objective):
+        raise ConfigError(f"objective {objective!r} is no Objective")
     optimum = None  # the closed form the best candidate must reach
     if cfg.b == 0 or n == 0 or objective is Objective.CONCURRENCE:
         thetas = (0.0,)

@@ -24,7 +24,7 @@ import random
 from typing import NamedTuple
 
 from .collisions import distinguishability_ab, evolve_closed_form, make_config, oracle_evolve
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .measurement import (
     GammaTriple,
     complementarity_after,
@@ -34,7 +34,7 @@ from .measurement import (
     project_oracle,
 )
 from .optimize import grid_reference_maximum, maximize, objective_value
-from .experiments import PRESETS, _count, preset_config
+from .experiments import PRESETS, preset_config
 
 
 class CheckResult(NamedTuple):
@@ -169,12 +169,10 @@ def run_verification(
     """Run every check; deterministic for fixed (samples, seed, perturb).
 
     Raises :class:`ConfigError` unless samples >= 1 and seed >= 0 are
-    integers, no bool.
+    ints, no bool.
     """
-    if _count("samples", samples) < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
-    if _count("seed", seed) < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_count(samples, "samples", ConfigError, 1)
+    check_count(seed, "seed", ConfigError)
     return [
         _closure_check(samples, seed, _sign_fault if perturb else complementarity_after),
         _evolution_check(seed),

@@ -356,6 +356,12 @@ class TestFieldTable:
         assert from_flags == from_file
         assert cli._spec(from_flags) == cli._spec(from_file)
 
+    def test_option_value_of_two_dashes_is_kept(self):
+        # Python 3.11's argparse hands --out=-- to the option as []
+        assert _run_values("--out=--", "--experiment=table") == {
+            "out": "--", "experiment": "table",
+        }
+
 
 class TestVerifyCommand:
     def test_unset_flags_keep_library_defaults(self, monkeypatch):
@@ -385,7 +391,7 @@ class TestVerifyCommand:
         {"seed": 1.5}, {"seed": "0"}, {"seed": False},
     ])
     def test_mistyped_argument_config_error(self, kwargs):
-        # a bool is no count, though operator.index(True) is 1
+        # a bool is no count, though True == 1
         name, = kwargs
         with pytest.raises(ConfigError, match=name):
             verify.run_verification(**kwargs)

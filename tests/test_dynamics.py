@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from complement_opt import (
+    ConfigError,
     DomainError,
     Objective,
     RangeError,
@@ -70,6 +71,10 @@ class TestMakeConfig:
             (1.0, 0.0, 5),
             (1.0, 1.0, 0),
             (-0.1, 1.0, 5),
+            # a probe count that is no int: a bool, an integral float, a numpy integer
+            (0.1, 1.0, True),
+            (0.1, 1.0, 20.0),
+            (0.1, 1.0, np.int64(20)),
         ],
     )
     def test_domain_errors(self, g, T, N):
@@ -91,6 +96,11 @@ class TestMakeConfig:
     def test_non_finite_inputs(self, g, T, N):
         with pytest.raises(DomainError):
             make_config(g, T, N)
+
+    @pytest.mark.parametrize("g,T", [("4.0", 2.0 * math.pi), (4.0, "6.28"), (4.0, 2.0 + 0j)])
+    def test_coupling_or_time_that_is_no_real_number(self, g, T):
+        with pytest.raises(ConfigError, match="takes real numbers"):
+            make_config(g, T, 20)
 
 
 class TestEvolution:
@@ -173,10 +183,10 @@ COUNT_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("count", [2.5, 2.0, True])
+@pytest.mark.parametrize("count", [2.5, 2.0, True, np.int64(2)])
 @pytest.mark.parametrize("function", COUNT_TAKERS)
 def test_count_that_is_no_int_raises_range_error(strong, function, count):
-    # a float or a bool is no count, though it compares like one
+    # a float, a bool or a numpy integer is no count, though each compares like one
     with pytest.raises(RangeError, match=re.escape(f"={count!r} is no int")):
         COUNT_TAKERS[function](strong, count)
 
@@ -281,6 +291,12 @@ class TestContinuousLimitGap:
             continuous_limit_gap(30.0, 1.0, 10)  # sqrt(kT/N) > pi/2
         with pytest.raises(DomainError):
             continuous_limit_gap(3.0, 1.0, 0)
+
+    @pytest.mark.parametrize("N", [2.5, True, np.int64(64)])
+    def test_count_that_is_no_int(self, N):
+        # the same count rule as a collision count's
+        with pytest.raises(DomainError, match=re.escape(f"N={N!r} is no int")):
+            continuous_limit_gap(1.0, 1.0, N)
 
     @pytest.mark.parametrize("k, T", [(-3.0, 1.0), (3.0, -1.0), (-3.0, -1.0)])
     def test_negative_rate_or_time(self, k, T):

@@ -3,6 +3,7 @@ import json
 import math
 import platform
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -317,12 +318,15 @@ class TestRunExperiment:
         ("continuous-limit", "limit_T", -1.0, DomainError),
         # a field the study ignores is checked all the same
         ("distinguishability", "phi", math.nan, DomainError),
+        # an int past the largest float, not left to overflow on the way
+        pytest.param("continuous-limit", "limit_k", 10**400, DomainError, id="limit_k-10**400"),
+        pytest.param("distinguishability", "phi", -10**400, DomainError, id="phi--10**400"),
         # a count that is no integer, not truncated nor left to fail on the way
         ("continuous-limit", "limit_N", (64.7, 128), ConfigError),
         ("continuous-limit", "limit_N", (math.nan,), ConfigError),
         ("delta-d", "n_max", 2.5, ConfigError),
         ("uniform-sweep", "theta_steps", 2.5, ConfigError),
-        # a bool is no count, though operator.index(True) is 1
+        # a bool is no count, though True == 1
         ("delta-d", "n_max", True, ConfigError),
         ("uniform-sweep", "theta_steps", True, ConfigError),
         ("continuous-limit", "limit_N", (True,), ConfigError),
@@ -332,6 +336,12 @@ class TestRunExperiment:
         ("continuous-limit", "limit_k", 3 + 0j, ConfigError),
         ("distinguishability", "phi", "0", ConfigError),
         ("quantity-vs-n", "reservoir_k", "1", ConfigError),
+        # a numpy integer count, and a real that json cannot write (numpy.float32)
+        ("delta-d", "n_max", np.int64(2), ConfigError),
+        ("uniform-sweep", "theta_steps", np.int64(3), ConfigError),
+        ("continuous-limit", "limit_N", (np.int64(64),), ConfigError),
+        ("uniform-sweep", "phi", np.float32(0.5), ConfigError),
+        ("continuous-limit", "limit_k", np.float32(2.0), ConfigError),
         # a coupling or objective of the wrong type, not left to fail in the file name
         ("quantity-vs-n", "objective", "visibility", ConfigError),
         ("quantity-vs-n", "cfg", {"g": 1.0}, ConfigError),
@@ -468,6 +478,28 @@ class TestCsvFormat:
             experiments._write_csv(path, ("n", "x"), rows())
         assert path.read_bytes() == before
         assert list(path.parent.iterdir()) == [path]
+
+    def test_a_failed_manifest_write_leaves_the_manifest_as_it_was(
+        self, tmp_path, strong, monkeypatch
+    ):
+        spec = ExperimentSpec(name="distinguishability", cfg=strong, preset="strong")
+        paths = run_experiment(spec, out_dir=tmp_path)
+        before = paths["manifest"].read_bytes()
+
+        def torn_write(self, data, encoding=None, errors=None, newline=None):
+            # truncate the target, write half, then fail as a full disk would
+            with open(self, "w", encoding=encoding) as handle:
+                handle.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(spec, out_dir=tmp_path)
+        monkeypatch.undo()
+        assert paths["manifest"].read_bytes() == before
+        assert sorted(p.name for p in paths["manifest"].parent.iterdir()) == [
+            "manifest.json", "strong.csv",
+        ]
 
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

@@ -7,6 +7,7 @@ import pytest
 
 from complement_opt import (
     ComplementarityTriple,
+    ConfigError,
     DomainError,
     Objective,
     complementarity_after,
@@ -80,6 +81,18 @@ class TestMaximizeBasics:
         )
         t = ComplementarityTriple(0.1, 0.2, 0.3, 0.4)
         assert [objective_value(t, o) for o in Objective] == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("objective", ["visibility", "concurrence", None, ["visibility"]])
+    def test_objective_that_is_no_objective_config_error(self, strong, objective):
+        # an objective's value string is no Objective; at n = 0 and through
+        # curve too, not left to fail as a bare KeyError on the way
+        for call in (
+            lambda: maximize(strong, 0, objective),
+            lambda: maximize(strong, 2, objective),
+            lambda: curve(strong, objective, 2),
+        ):
+            with pytest.raises(ConfigError, match="objective"):
+                call()
 
     def test_zero_coupling_keeps_the_bell_pair(self):
         cfg = make_config(0.0, 1.0, 4)
