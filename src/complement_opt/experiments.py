@@ -35,7 +35,7 @@ from .collisions import (
 )
 from .errors import ConfigError, check_count, check_real
 from .measurement import (
-    complementarity_after,
+    _complementarity_from_moduli,
     delta_d_pair,
     delta_d_total,
     one_angle_gamma,
@@ -94,7 +94,9 @@ class CurveRecord(NamedTuple):
     """One optimized point of a quantity-vs-n study, in CSV column order.
 
     ``angles`` is one cell: the basis's 2n angles (theta_1, phi_1, ...,
-    theta_n, phi_n), each written with ``_FLOAT``, joined by spaces."""
+    theta_n, phi_n), each written with ``_FLOAT``, joined by spaces.  Every
+    optimum's basis is ((theta1, 0), (0, 0), ...) and ``_FLOAT % 0.0`` is
+    ``0``, so the cell is built from theta1 and n alone (n >= 1)."""
 
     n: int
     V: float
@@ -119,7 +121,7 @@ def run_quantity_vs_n(
     for result in curve(cfg, objective, n_max):
         t = result.achieved
         reservoir_C = reservoir_limit_concurrence(k, result.n * cfg.dt)
-        angles = " ".join([_FLOAT % x for pair in result.basis for x in pair])
+        angles = _FLOAT % result.theta1 + " 0" + " 0 0" * (result.n - 1)
         rows.append(
             CurveRecord(result.n, t.V, t.P, t.C, reservoir_C, result.outcome_probability, angles)
         )
@@ -133,7 +135,9 @@ def run_uniform_sweep(
     ``theta_steps`` intervals over [0, pi], n = 1..n_max, n-major.
 
     Every cell is filled, improbable records (theta near pi/2, n >= 2) too.
-    A generator: ``cfg.check_n(n_max)`` runs at the first row.
+    A cell is one ``uniform_gamma`` call and the kernel's V, P, C from its
+    squared moduli, the expression ``complementarity_after`` evaluates, so the
+    same bits.  A generator: ``cfg.check_n(n_max)`` runs at the first row.
     """
     cfg.check_n(n_max)
     # theta_steps equal intervals; the last point is pi exactly, not theta_steps * step
@@ -141,8 +145,9 @@ def run_uniform_sweep(
     thetas = [i * step for i in range(theta_steps)] + [math.pi]
     for n in range(1, n_max + 1):
         for theta in thetas:
-            t = complementarity_after(uniform_gamma(cfg, theta, phi, n))
-            yield n, theta, t.V, t.P, t.C
+            g1, g2, g3, _ = uniform_gamma(cfg, theta, phi, n)
+            v, p, c = _complementarity_from_moduli(abs(g1) ** 2, abs(g2) ** 2, abs(g3) ** 2)
+            yield n, theta, v, p, c
 
 
 def run_distinguishability_profile(cfg: CouplingConfig) -> list[tuple[int, float, float]]:

@@ -2,7 +2,9 @@
 
 A basis is a tuple of (theta_i, phi_i) float pairs, one per measured probe in
 probe order, so its length is the collision count n.  Both routes below read
-the angles as given and reject a non-finite one with ``DomainError``;
+the angles as given and reject a non-finite one with ``DomainError``, and an
+angle that is no real number with ``ConfigError`` (``check_real``'s rule,
+applied only where the float test raises, so a valid angle costs nothing more);
 ``canonical_angles`` maps a pair into [0, pi) x [0, 2 pi) where canonical
 angles are wanted.  After n collisions, probe i is projected onto the basis
 vector |M_i> = alpha_i |0_i> + beta_i |1_i> with alpha_i = cos(theta_i) and
@@ -28,10 +30,12 @@ exact, and e lowered by 256, so they never underflow.
 
 ``gamma_coefficients(cfg, basis)`` (the amplitudes of one record) and
 ``_complementarity_from_moduli`` (V, P, C from their squared moduli) are the
-library's post-selection kernel.  ``project_oracle`` is the independent route:
-it projects the probes of a collision state one at a time, in order, in plain
-complex arithmetic, and shares no helper with the kernel, so a fault in the
-kernel shows up as a gap between the two routes.  No record is impossible:
+library's post-selection kernel; a uniform-sweep cell is one ``uniform_gamma``
+call and that V, P, C, with no ``ComplementarityTriple`` in between.
+``project_oracle`` is the independent route: it projects the probes of a
+collision state one at a time, in order, in plain complex arithmetic, and
+shares no helper with the kernel, so a fault in the kernel shows up as a gap
+between the two routes.  No record is impossible:
 cos(theta) of a float is never 0.0 and qubit A keeps amplitude 1/sqrt(2), so
 every record normalizes, however improbable.  Its outcome probability is
 2^(2e) times the squared norm and reads 0.0 where that lies below the smallest
@@ -44,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .collisions import CouplingConfig, ExcitationState, distinguishability_ab
 from .complementarity import ComplementarityTriple, TwoQubitPure
-from .errors import DomainError, RangeError, check_count
+from .errors import DomainError, RangeError, check_count, check_real
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -56,14 +60,26 @@ _RESCALE = 2.0 ** _RESCALE_BITS
 _TINY = 1.0 / _RESCALE
 
 
+def _check_angles(theta, phi) -> None:
+    """``check_real`` on both angles of a pair whose float test raised:
+    ``ConfigError`` for an angle that is no real number, ``DomainError`` for
+    an int beyond the doubles."""
+    check_real(theta, "measurement angle theta")
+    check_real(phi, "measurement angle phi")
+
+
 def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map angles into [0, pi) x [0, 2 pi); the projector is unchanged."""
     # fmod returns an in-range value unchanged, as a float; NaN fails these tests and
     # is rejected below
-    if 0.0 <= theta < math.pi and 0.0 <= phi < _TWO_PI:
-        return float(theta), float(phi)
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+    try:
+        if 0.0 <= theta < math.pi and 0.0 <= phi < _TWO_PI:
+            return float(theta), float(phi)
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+    except (TypeError, OverflowError):
+        _check_angles(theta, phi)
+        raise
     # a tiny negative angle can round up to the excluded edge, the same projector as 0
     theta = math.fmod(theta, math.pi)
     if theta < 0.0:
@@ -128,13 +144,18 @@ def gamma_coefficients(
     cfg: CouplingConfig, basis: Sequence[tuple[float, float]]
 ) -> GammaTriple:
     """Post-selected pair amplitudes after n = len(basis) collisions and n
-    projections; a non-finite angle raises ``DomainError``."""
+    projections; a non-finite angle raises ``DomainError``, an angle that is
+    no real number ``ConfigError``."""
     n = len(basis)
     cfg.check_n(n)
     alpha, beta = [], []
     for theta, phi in basis:
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+        try:
+            if not (math.isfinite(theta) and math.isfinite(phi)):
+                raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+        except (TypeError, OverflowError):
+            _check_angles(theta, phi)
+            raise
         alpha.append(math.cos(theta))
         beta.append(complex(math.cos(phi), math.sin(phi)) * math.sin(theta))
     pre = _running_products(alpha)
@@ -163,7 +184,8 @@ def project_oracle(
     construction) and the outcome probability; the amplitudes are carried
     times 2^-e, e lowered by 256 whenever the product of alphas drops below
     2^-256, so they never underflow.  A basis whose length is not the
-    state's n raises ``RangeError``, a non-finite angle ``DomainError``.
+    state's n raises ``RangeError``, a non-finite angle ``DomainError``, an
+    angle that is no real number ``ConfigError``.
     """
     if len(basis) != state.n:
         raise RangeError(
@@ -173,8 +195,14 @@ def project_oracle(
     prod_alpha = 1.0  # alpha_j of the probes projected so far
     e = 0
     for (theta, phi), amp in zip(basis, state.amp_r):
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+        try:
+            if not (math.isfinite(theta) and math.isfinite(phi)):
+                raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
+        except (TypeError, OverflowError):
+            # its own type test: the oracle shares no helper with the kernel
+            check_real(theta, "measurement angle theta")
+            check_real(phi, "measurement angle phi")
+            raise
         alpha = math.cos(theta)
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
         c00 = alpha * c00 + beta * amp * prod_alpha
@@ -219,10 +247,15 @@ def one_angle_gamma(cfg: CouplingConfig, theta1: float, n: int) -> GammaTriple:
     complex of signed zeros, so the kernel's probe sum is complex(sin theta1,
     0.0) and its product of alphas cos(theta1), never below 2^-256; the
     amplitudes (b sin theta1, a^n cos theta1, cos theta1)/sqrt(2) are formed
-    by the kernel's operations in its order, and so carry its bits.
+    by the kernel's operations in its order, and so carry its bits.  A theta1
+    that is no real number raises ``ConfigError``, an infinite one ``DomainError``.
     """
     cfg.check_n(n)
-    g3 = _SQRT1_2 * math.cos(theta1)
+    try:
+        g3 = _SQRT1_2 * math.cos(theta1)
+    except (TypeError, ValueError, OverflowError):
+        check_real(theta1, "measurement angle theta1")
+        raise
     g2 = cfg.a ** n * g3
     g1 = cfg.b * _SQRT1_2 * complex(math.sin(theta1), 0.0)
     return _make_gamma(g1, g2, g3)

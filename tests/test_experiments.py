@@ -14,11 +14,13 @@ from complement_opt import (
     ConfigError,
     DomainError,
     Objective,
+    complementarity_after,
     experiments,
     gamma_coefficients,
     make_config,
     maximize,
     postselected_state,
+    uniform_gamma,
 )
 from complement_opt.experiments import (
     EXPERIMENTS,
@@ -139,6 +141,22 @@ class TestUniformSweep:
         sweep = _sweep(strong, 6, theta_steps=24)
         total = sweep.V**2 + sweep.P**2 + sweep.C**2
         assert np.max(np.abs(total - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("coupling, phi", [
+        ("strong", 0.0),
+        ("weak", 0.7),
+        ("uncoupled", 0.3),  # a = 1: the geometric factor is float(n)
+        ("strong", -8.0),  # phi outside [0, 2 pi)
+        ("weak", 9.5),
+    ])
+    def test_every_cell_is_the_public_triple(self, coupling, phi):
+        # the sweep evaluates V, P, C inline; they must be complementarity_after's bits
+        cfg = COUPLINGS[coupling]
+        rows = list(run_uniform_sweep(cfg, cfg.N_total, 24, phi))
+        assert len(rows) == cfg.N_total * 25 and rows[-1][1] == math.pi
+        for n, theta, *vpc in rows:
+            t = complementarity_after(uniform_gamma(cfg, theta, phi, n))
+            assert [x.hex() for x in vpc] == [t.V.hex(), t.P.hex(), t.C.hex()], (n, theta)
 
     def test_weak_theta_pi_sustains_entanglement(self, weak):
         sweep = _sweep(weak, 20, theta_steps=12)

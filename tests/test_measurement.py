@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from complement_opt import (
+    ConfigError,
     DomainError,
     GammaTriple,
     RangeError,
@@ -27,7 +28,7 @@ from complement_opt import (
 )
 from complement_opt import measurement
 from complement_opt.experiments import preset_config
-from complement_opt.measurement import canonical_angles
+from complement_opt.measurement import canonical_angles, one_angle_gamma
 from helpers import (
     dense_projection,
     exact_record,
@@ -106,6 +107,41 @@ class TestAngles:
                 project_oracle(oracle_evolve(strong, len(basis)), basis)
         with pytest.raises(DomainError, match="finite"):
             uniform_gamma(strong, theta, phi, 1)
+
+    @pytest.mark.parametrize("route", [
+        # both routes with the bad pair first or after a finite one, the
+        # shared-basis closed form, and the canonicalizing helper
+        lambda cfg, pair: gamma_coefficients(cfg, (pair,)),
+        lambda cfg, pair: gamma_coefficients(cfg, ((0.3, 0.2), pair)),
+        lambda cfg, pair: project_oracle(oracle_evolve(cfg, 1), (pair,)),
+        lambda cfg, pair: project_oracle(oracle_evolve(cfg, 2), ((0.3, 0.2), pair)),
+        lambda cfg, pair: uniform_gamma(cfg, *pair, 1),
+        lambda cfg, pair: canonical_angles(*pair),
+    ], ids=["kernel", "kernel-second", "oracle", "oracle-second", "uniform", "canonical"])
+    @pytest.mark.parametrize("pair, error, name", [
+        pytest.param(("0.3", 0.2), ConfigError, "theta", id="str-theta"),
+        pytest.param((0.3, "0.2"), ConfigError, "phi", id="str-phi"),
+        pytest.param((0.3j, 0.2), ConfigError, "theta", id="complex-theta"),
+        pytest.param((0.3, None), ConfigError, "phi", id="None-phi"),
+        pytest.param((10**400, 0.2), DomainError, "theta", id="huge-int-theta"),
+        pytest.param((0.3, -10**400), DomainError, "phi", id="huge-int-phi"),
+    ])
+    def test_angle_that_is_no_float_raises_a_typed_error(self, strong, route, pair, error, name):
+        # check_real's rule, applied where a float test refuses the angle
+        with pytest.raises(error, match=f"measurement angle {name}"):
+            route(strong, pair)
+
+    @pytest.mark.parametrize("theta1, error", [
+        pytest.param("0.3", ConfigError, id="str"),
+        pytest.param(0.3j, ConfigError, id="complex"),
+        pytest.param(None, ConfigError, id="None"),
+        pytest.param(10**400, DomainError, id="huge-int"),
+        pytest.param(math.inf, DomainError, id="inf"),
+        pytest.param(-math.inf, DomainError, id="-inf"),
+    ])
+    def test_one_angle_that_is_no_finite_float(self, strong, theta1, error):
+        with pytest.raises(error, match="measurement angle theta1"):
+            one_angle_gamma(strong, theta1, 2)
 
 
 class TestGammaCoefficients:

@@ -22,6 +22,7 @@ from complement_opt import (
     project_oracle,
     triple,
 )
+from complement_opt.experiments import _FLOAT, run_quantity_vs_n
 from complement_opt.measurement import canonical_angles, one_angle_gamma
 from complement_opt.optimize import TIE_TOLERANCE
 from helpers import random_basis, random_coupling
@@ -141,6 +142,18 @@ class TestAgainstTheKernel:
                     assert list(map(_bits, reported)) == list(map(_bits, kernel)), where
                     # the amplitudes too, each part of each complex
                     assert _gamma_bits(one_angle_gamma(cfg, theta1, n)) == _gamma_bits(gt), where
+
+    def test_angles_cell_is_the_join_over_the_basis(self, configs):
+        # quantity-vs-n writes the cell from theta1 and n; only the optimizer
+        # states the basis layout, so the cell must be its generic join
+        for cfg in configs:
+            n_max = min(cfg.N_total, 20)
+            for objective in Objective:
+                rows = run_quantity_vs_n(cfg, objective, n_max, None)
+                assert [row.n for row in rows] == list(range(1, n_max + 1))
+                for row, result in zip(rows, curve(cfg, objective, n_max)):
+                    joined = " ".join([_FLOAT % x for pair in result.basis for x in pair])
+                    assert row.angles == joined, (cfg, row.n, objective)
 
 
 class TestOutcomeProbability:
