@@ -29,8 +29,10 @@ def check_count(value, name: str, error: type[ValueError], low=0, high=math.inf)
 
 def check_real(value, name: str, low: float = -math.inf) -> None:
     """:class:`ConfigError` naming ``name`` unless ``value`` is an int or a float
-    (no bool); :class:`DomainError` unless it is >= low and a finite float."""
+    (no bool); :class:`DomainError` unless it is >= low and a finite float.  The
+    message names the bound only when there is one."""
     if type(value) is bool or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} takes real numbers, got {value!r}")
     if not (low <= value and abs(value) <= sys.float_info.max):
-        raise DomainError(f"{name} must be finite and >= {low}, got {value!r}")
+        bound = "" if low == -math.inf else f" and >= {low}"
+        raise DomainError(f"{name} must be finite{bound}, got {value!r}")

@@ -188,16 +188,13 @@ class TableStateRow(NamedTuple):
 
 
 def _canonical_phase(c00: complex, c01: complex, c10: complex) -> tuple[complex, complex, complex]:
-    """Fix the global phase: c10 real >= 0, falling back to c00 then c01.
-
-    Amplitudes below 1e-6 are treated as zero when picking the reference, so
-    solver dust cannot hijack the phase convention.
-    """
-    for ref in (c10, c00, c01):
-        if abs(ref) > 1e-6:
-            rot = ref.conjugate() / abs(ref)
-            return c00 * rot, c01 * rot, c10 * rot
-    return c00, c01, c10
+    """Fix the global phase: c10 real >= 0, or c00 where |c10| <= 1e-6, so
+    solver dust cannot hijack the phase convention.  A normalized table state
+    has c01 = a^n c10 with 0 < a <= 1, so where |c10| <= 1e-6 the norm sits in
+    c00 and c00 is the reference."""
+    ref = c10 if abs(c10) > 1e-6 else c00
+    rot = ref.conjugate() / abs(ref)
+    return c00 * rot, c01 * rot, c10 * rot
 
 
 def run_table_states() -> list[TableStateRow]:

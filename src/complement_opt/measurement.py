@@ -1,13 +1,16 @@
 """Projective post-selection of the probe qubits and its effect on the pair.
 
 A basis is a tuple of (theta_i, phi_i) float pairs, one per measured probe in
-probe order, so its length is the collision count n.  Both routes below read
-the angles as given and reject a non-finite one with ``DomainError``, and an
-angle that is no real number with ``ConfigError`` (``check_real``'s rule,
-applied only where the float test raises, so a valid angle costs nothing more);
-``canonical_angles`` maps a pair into [0, pi) x [0, 2 pi) where canonical
-angles are wanted.  After n collisions, probe i is projected onto the basis
-vector |M_i> = alpha_i |0_i> + beta_i |1_i> with alpha_i = cos(theta_i) and
+probe order, so its length is the collision count n.  Every route reads the
+angles as given and tests them with one expression: a finite Python float
+passes, and anything else goes through ``check_real``, which raises
+``ConfigError`` for an angle that is no real number (a bool, a str, a complex,
+None or a ``numpy.float32``), ``DomainError`` for a NaN, an infinity or an int
+too large for a double, and lets a finite int through.  ``canonical_angles``
+maps a pair into [0, pi) x [0, 2 pi) where canonical angles are wanted.
+
+After n collisions, probe i is projected onto the basis vector
+|M_i> = alpha_i |0_i> + beta_i |1_i> with alpha_i = cos(theta_i) and
 beta_i = exp(i phi_i) sin(theta_i).  The retained amplitude for a probe in
 components (x0, x1) is the linear pairing alpha * x0 + beta * x1 (no
 conjugation); this fixes the global-phase convention of all post-selected
@@ -61,25 +64,18 @@ _TINY = 1.0 / _RESCALE
 
 
 def _check_angles(theta, phi) -> None:
-    """``check_real`` on both angles of a pair whose float test raised:
-    ``ConfigError`` for an angle that is no real number, ``DomainError`` for
-    an int beyond the doubles."""
+    """``check_real`` on both angles of a pair that is no finite float pair."""
     check_real(theta, "measurement angle theta")
     check_real(phi, "measurement angle phi")
 
 
 def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """Map angles into [0, pi) x [0, 2 pi); the projector is unchanged."""
-    # fmod returns an in-range value unchanged, as a float; NaN fails these tests and
-    # is rejected below
-    try:
-        if 0.0 <= theta < math.pi and 0.0 <= phi < _TWO_PI:
-            return float(theta), float(phi)
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
-    except (TypeError, OverflowError):
-        _check_angles(theta, phi)
-        raise
+    # fmod returns an in-range float unchanged, so it is returned as it is
+    if (type(theta) is float and type(phi) is float
+            and 0.0 <= theta < math.pi and 0.0 <= phi < _TWO_PI):
+        return theta, phi
+    _check_angles(theta, phi)
     # a tiny negative angle can round up to the excluded edge, the same projector as 0
     theta = math.fmod(theta, math.pi)
     if theta < 0.0:
@@ -150,12 +146,9 @@ def gamma_coefficients(
     cfg.check_n(n)
     alpha, beta = [], []
     for theta, phi in basis:
-        try:
-            if not (math.isfinite(theta) and math.isfinite(phi)):
-                raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
-        except (TypeError, OverflowError):
+        if not (type(theta) is float and type(phi) is float
+                and math.isfinite(theta) and math.isfinite(phi)):
             _check_angles(theta, phi)
-            raise
         alpha.append(math.cos(theta))
         beta.append(complex(math.cos(phi), math.sin(phi)) * math.sin(theta))
     pre = _running_products(alpha)
@@ -195,14 +188,11 @@ def project_oracle(
     prod_alpha = 1.0  # alpha_j of the probes projected so far
     e = 0
     for (theta, phi), amp in zip(basis, state.amp_r):
-        try:
-            if not (math.isfinite(theta) and math.isfinite(phi)):
-                raise DomainError(f"measurement angles must be finite, got ({theta}, {phi})")
-        except (TypeError, OverflowError):
-            # its own type test: the oracle shares no helper with the kernel
+        if not (type(theta) is float and type(phi) is float
+                and math.isfinite(theta) and math.isfinite(phi)):
+            # its own test: the oracle shares no helper with the kernel
             check_real(theta, "measurement angle theta")
             check_real(phi, "measurement angle phi")
-            raise
         alpha = math.cos(theta)
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
         c00 = alpha * c00 + beta * amp * prod_alpha
@@ -247,15 +237,13 @@ def one_angle_gamma(cfg: CouplingConfig, theta1: float, n: int) -> GammaTriple:
     complex of signed zeros, so the kernel's probe sum is complex(sin theta1,
     0.0) and its product of alphas cos(theta1), never below 2^-256; the
     amplitudes (b sin theta1, a^n cos theta1, cos theta1)/sqrt(2) are formed
-    by the kernel's operations in its order, and so carry its bits.  A theta1
-    that is no real number raises ``ConfigError``, an infinite one ``DomainError``.
+    by the kernel's operations in its order, and so carry its bits.  theta1
+    is tested like every angle (see the module docstring).
     """
     cfg.check_n(n)
-    try:
-        g3 = _SQRT1_2 * math.cos(theta1)
-    except (TypeError, ValueError, OverflowError):
+    if not (type(theta1) is float and math.isfinite(theta1)):
         check_real(theta1, "measurement angle theta1")
-        raise
+    g3 = _SQRT1_2 * math.cos(theta1)
     g2 = cfg.a ** n * g3
     g1 = cfg.b * _SQRT1_2 * complex(math.sin(theta1), 0.0)
     return _make_gamma(g1, g2, g3)

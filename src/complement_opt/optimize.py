@@ -24,26 +24,8 @@ more than ``TIE_TOLERANCE`` short of the closed form (at n = 1 from g*dt = 1e-12
 down).
 
 ``grid_reference_maximum`` is the independent exhaustive reference that checks
-the closed form on small n.  A phase shared by all probes changes no |gamma|,
-so it fixes phi_1 = 0 and searches the 2n - 1 free angles.  Replacing one
-probe's (theta, phi) by (pi - theta, phi + pi) flips the sign of every gamma,
-so each theta axis covers only the closed half period [0, pi/2] (pi/2 is kept:
-P = 1 sits there).  With 15 degree steps that gives a grid of 7 points at
-n = 1 and 7 x 7 x 24 = 1,176 at n = 2, then, for each objective, a compass
-search from each of its 8 leading points over those same angles; a search
-stops once its best value reaches 1, the ceiling of V, P and C, or its step
-falls below 1e-9 rad.  Every value, on the grid and in the search, goes
-through one route: ``oracle_evolve``, ``project_oracle`` (a sequential
-per-probe projection that shares no helper with ``gamma_coefficients``) and
-``complementarity.triple``, so an error in the library's post-selection
-kernel cannot reach it.  One call serves all three objectives from one
-collision state: the triple of each projector is computed once and kept in a
-dict local to the call, so the objectives share every point and nothing is
-kept across calls.  The dict is keyed by the exact free angles and, where
-some theta_i (i >= 2) is 0, also by the same angles with that phi_i = 0: at
-theta = 0 a probe is projected on |0> whatever its phi.  Each objective's
-value and angles are returned as Python floats; the angles are the canonical
-ones (``canonical_angles``) at which the value was computed.
+the closed form on small n; its docstring describes the grid, the search and
+the one route every value takes.
 """
 from __future__ import annotations
 
@@ -150,24 +132,27 @@ _POLISH_CEILING = 1.0
 
 
 def grid_reference_maximum(cfg: CouplingConfig, n: int) -> dict[Objective, tuple[float, tuple]]:
-    """Exhaustive reference optima for small n: an angle grid plus a compass
-    search from each of the leading grid points, for every objective.
+    """Exhaustive reference optima for small n: a grid of 15 degree angle steps
+    plus a compass search from each of the 8 leading grid points over those
+    same angles, for every objective.
 
     A phase common to all probes changes no |gamma|, so phi_1 is fixed at 0:
     the grid and the polish run over the 2n - 1 free angles theta_1..theta_n,
     phi_2..phi_n.  (pi - theta, phi + pi) only flips the sign of a probe's
     vector, so the theta axes cover [0, pi/2] (7 points at n = 1, 1,176 at
     n = 2).  Every value, on the grid and in the polish, comes from the
-    sequential-collision state, the direct projection route and the
-    pure-state formulas, so it is independent of both the post-selection
-    kernel and the closed form in ``maximize``.  A polish stops once its best
-    value reaches 1, the ceiling of V, P and C, or its step falls below 1e-9
-    rad.  One pass serves all three objectives: the triple of each projector
-    is computed once and kept in a dict local to the call, keyed by the free
-    angles and, where some theta_i (i >= 2) is 0, by the same angles with that
-    phi_i = 0 too, so nothing is kept across calls.  Supports
-    n <= 2.  Returns {objective: (value, angles)} with angles as n canonical
-    (theta, phi) pairs in [0, pi) x [0, 2 pi).
+    sequential-collision state (``oracle_evolve``), the direct projection
+    route (``project_oracle``) and the pure-state formulas
+    (``complementarity.triple``), so it is independent of both the
+    post-selection kernel and the closed form in ``maximize``.  A polish
+    stops once its best value reaches 1, the ceiling of V, P and C, or its
+    step falls below 1e-9 rad.  One pass serves all three objectives: the
+    triple of each projector is computed once and kept in a dict local to the
+    call, keyed by the free angles and, where some theta_i (i >= 2) is 0, by
+    the same angles with that phi_i = 0 too, so nothing is kept across calls.
+    Supports n <= 2.  Returns {objective: (value, angles)}, Python floats, with angles
+    as the n canonical (theta, phi) pairs (``canonical_angles``) at which the
+    value was computed.
     """
     cfg.check_n(n)
     if n > 2:

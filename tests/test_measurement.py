@@ -125,9 +125,11 @@ class TestAngles:
         pytest.param((0.3, None), ConfigError, "phi", id="None-phi"),
         pytest.param((10**400, 0.2), DomainError, "theta", id="huge-int-theta"),
         pytest.param((0.3, -10**400), DomainError, "phi", id="huge-int-phi"),
+        pytest.param((True, 0.2), ConfigError, "theta", id="bool-theta"),
+        pytest.param((0.3, False), ConfigError, "phi", id="bool-phi"),
     ])
     def test_angle_that_is_no_float_raises_a_typed_error(self, strong, route, pair, error, name):
-        # check_real's rule, applied where a float test refuses the angle
+        # check_real's rule, applied to any pair that is no finite float pair
         with pytest.raises(error, match=f"measurement angle {name}"):
             route(strong, pair)
 
@@ -138,10 +140,18 @@ class TestAngles:
         pytest.param(10**400, DomainError, id="huge-int"),
         pytest.param(math.inf, DomainError, id="inf"),
         pytest.param(-math.inf, DomainError, id="-inf"),
+        pytest.param(math.nan, DomainError, id="nan"),
+        pytest.param(True, ConfigError, id="bool"),
+        pytest.param(np.float32(0.3), ConfigError, id="float32"),
     ])
     def test_one_angle_that_is_no_finite_float(self, strong, theta1, error):
         with pytest.raises(error, match="measurement angle theta1"):
             one_angle_gamma(strong, theta1, 2)
+
+    def test_message_names_no_bound_it_does_not_have(self, strong):
+        # every angle message comes from check_real, whose default bound is -inf
+        with pytest.raises(DomainError, match=r"^measurement angle theta must be finite, got nan$"):
+            gamma_coefficients(strong, ((math.nan, 0.3),))
 
 
 class TestGammaCoefficients:
