@@ -5,9 +5,10 @@ them), so callers can post-process or plot them as they like and
 ``run_experiment`` streams them to disk as they come: the output directory is
 created once the first row is computed, and the CSV appears under its name
 only after its last row is written.  ``EXPERIMENTS`` registers every
-named study with its CSV header and the :class:`ExperimentSpec` fields it
-reads; ``run_experiment`` looks a spec up there and persists one CSV plus a
-JSON manifest recording exactly those fields and the versions used.  Every
+named study with its CSV header; a study's parameters are the
+:class:`ExperimentSpec` fields it reads.  ``run_experiment`` looks a spec up
+there and persists one CSV plus a JSON manifest recording exactly those
+fields, in parameter order, and the versions used.  Every
 row is flat: each cell is an int, a float or a str, one type per column, and
 a file is written with one %-format built from its first row's cell types.
 A float cell has 17 significant digits (``_FLOAT``), so identical spec reruns
@@ -70,9 +71,9 @@ class ExperimentSpec(NamedTuple):
 
     ``preset`` is a label used for file naming and the manifest; ``cfg`` is
     the coupling actually used, and a manifest records ``preset`` whenever it
-    records ``cfg``.  Each experiment reads only the fields its
-    ``EXPERIMENTS`` entry lists and ignores the rest, but ``run_experiment``
-    checks every field.  These defaults are the only ones: the studies take
+    records ``cfg``.  Each experiment reads only the fields its study names
+    as parameters and ignores the rest, but ``run_experiment`` checks every
+    field.  These defaults are the only ones: the studies take
     every argument explicitly, and the CLI leaves a field it was not given
     unset.
     """
@@ -218,58 +219,43 @@ def run_table_states() -> list[TableStateRow]:
 
 
 def run_continuous_limit_convergence(
-    k: float, T: float, N_list: Iterable[int]
+    limit_k: float, limit_T: float, limit_N: Iterable[int]
 ) -> list[tuple[int, float]]:
-    """(N, |cos^N sqrt(kT/N) - exp(-kT/2)|) along an N schedule."""
-    return [(N, continuous_limit_gap(k, T, N)) for N in N_list]
+    """(N, |cos^N sqrt(kT/N) - exp(-kT/2)|) with k = ``limit_k`` and
+    T = ``limit_T``, for each N of the schedule ``limit_N``."""
+    return [(N, continuous_limit_gap(limit_k, limit_T, N)) for N in limit_N]
 
 
 # ---------------------------------------------------------------------------
 # registry and persistence
 
 class Experiment(NamedTuple):
-    """A named study: a function of the spec returning its CSV rows, the CSV
-    header, and the :class:`ExperimentSpec` fields that function reads.  Those
-    fields are what its manifest records; a study that reads ``cfg`` or
-    ``objective`` cannot run without it.  ``rows`` calls its study by its
-    module-global name, so a wrapper rebound there (a timing span) runs too."""
+    """A named study and its CSV header.  The study's parameters are
+    :class:`ExperimentSpec` field names: ``rows`` passes it those fields of a
+    spec, and they are what its manifest records.  A study that reads ``cfg``
+    or ``objective`` cannot run without it."""
 
-    rows: Callable[[ExperimentSpec], Iterable[tuple]]
+    study: Callable[..., Iterable[tuple]]
     header: tuple[str, ...]
-    fields: tuple[str, ...]
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """The study's parameter names, in order."""
+        code = self.study.__code__
+        return code.co_varnames[:code.co_argcount]
+
+    def rows(self, spec: ExperimentSpec) -> Iterable[tuple]:
+        """The study's rows, computed from the fields of ``spec`` it names."""
+        return self.study(*[getattr(spec, name) for name in self.fields])
 
 
 EXPERIMENTS: dict[str, Experiment] = {
-    "quantity-vs-n": Experiment(
-        lambda spec: run_quantity_vs_n(spec.cfg, spec.objective, spec.n_max, spec.reservoir_k),
-        CurveRecord._fields,
-        ("cfg", "objective", "n_max", "reservoir_k"),
-    ),
-    "uniform-sweep": Experiment(
-        lambda spec: run_uniform_sweep(spec.cfg, spec.n_max, spec.theta_steps, spec.phi),
-        ("n", "theta", "V", "P", "C"),
-        ("cfg", "n_max", "theta_steps", "phi"),
-    ),
-    "distinguishability": Experiment(
-        lambda spec: run_distinguishability_profile(spec.cfg),
-        ("i", "d_qa_qi", "d_qa_qb"),
-        ("cfg",),
-    ),
-    "delta-d": Experiment(
-        lambda spec: run_delta_d(spec.cfg, spec.objective, spec.n_max),
-        ("n", "V", "delta_d_total", "delta_d_pair"),
-        ("cfg", "objective", "n_max"),
-    ),
-    "table": Experiment(
-        lambda spec: run_table_states(),
-        TableStateRow._fields,
-        (),
-    ),
-    "continuous-limit": Experiment(
-        lambda spec: run_continuous_limit_convergence(spec.limit_k, spec.limit_T, spec.limit_N),
-        ("N", "gap"),
-        ("limit_k", "limit_T", "limit_N"),
-    ),
+    "quantity-vs-n": Experiment(run_quantity_vs_n, CurveRecord._fields),
+    "uniform-sweep": Experiment(run_uniform_sweep, ("n", "theta", "V", "P", "C")),
+    "distinguishability": Experiment(run_distinguishability_profile, ("i", "d_qa_qi", "d_qa_qb")),
+    "delta-d": Experiment(run_delta_d, ("n", "V", "delta_d_total", "delta_d_pair")),
+    "table": Experiment(run_table_states, TableStateRow._fields),
+    "continuous-limit": Experiment(run_continuous_limit_convergence, ("N", "gap")),
 }
 
 
@@ -311,17 +297,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[tuple]) -> None
             handle.writelines(map(row_format.__mod__, rows))
 
 
-def _file_stem(spec: ExperimentSpec, fields: Sequence[str]) -> str:
-    """``<preset>-<objective>``, each part only if its study reads it, else
-    the experiment's name."""
-    parts = []
-    if "cfg" in fields and spec.preset:
-        parts.append(spec.preset)
-    if "objective" in fields:
-        parts.append(spec.objective.value)
-    return "-".join(parts) if parts else spec.name
-
-
 def _recorded(spec: ExperimentSpec, fields: Sequence[str]) -> dict:
     """Manifest entries of ``fields``, keyed by field name (``cfg`` as
     ``coupling``, preceded by its label ``preset``)."""
@@ -344,6 +319,11 @@ def _checked(spec: ExperimentSpec) -> Experiment:
         raise ConfigError(
             f"unknown experiment {spec.name!r}; choose from {', '.join(EXPERIMENTS)}"
         )
+    preset = spec.preset
+    if preset is not None and (
+        not isinstance(preset, str) or preset in (".", "..") or any(c in preset for c in "/\\\0")
+    ):
+        raise ConfigError(f"field 'preset' takes one path component, got {preset!r}")
     for name, kind in (("cfg", CouplingConfig), ("objective", Objective)):
         value = getattr(spec, name)
         if value is None:
@@ -376,8 +356,9 @@ def run_experiment(
     Every field is checked before anything is computed or written: a bad one
     raises :class:`ConfigError` (unknown experiment, missing field, a ``cfg``
     that is no :class:`CouplingConfig` or an ``objective`` no
-    :class:`Objective`, a count that fails ``check_count``, a real field that
-    is no int or float, a ``limit_N`` that is no sequence) or
+    :class:`Objective`, a ``preset`` that is no str of one path component, a
+    count that fails ``check_count``, a real field that is no int or float, a
+    ``limit_N`` that is no sequence) or
     :class:`DomainError` (a non-finite real, a negative rate or time).  The
     errors the studies raise themselves (``n_max`` above ``N`` and the like)
     come with their first row at the latest, before the directory is created.
@@ -390,7 +371,8 @@ def run_experiment(
     experiment = _checked(spec)
     recorded = _recorded(spec, experiment.fields)
     directory = Path(out_dir) / spec.name
-    csv_path = directory / f"{_file_stem(spec, experiment.fields)}.csv"
+    stem = "-".join(filter(None, (recorded.get("preset"), recorded.get("objective")))) or spec.name
+    csv_path = directory / f"{stem}.csv"
 
     started = time.perf_counter()
     _write_csv(csv_path, experiment.header, experiment.rows(spec))

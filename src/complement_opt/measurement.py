@@ -49,11 +49,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .collisions import CouplingConfig, ExcitationState, distinguishability_ab
+from .collisions import _SQRT1_2, CouplingConfig, ExcitationState, distinguishability_ab
 from .complementarity import ComplementarityTriple, TwoQubitPure
 from .errors import DomainError, RangeError, check_count, check_real
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 _TWO_PI = 2.0 * math.pi
 

@@ -272,12 +272,12 @@ class TestRunExperiment:
         assert "wall_time_s" in manifest
 
     @pytest.mark.parametrize("name, fields", [
-        ("quantity-vs-n", {"preset", "coupling", "objective", "n_max", "reservoir_k"}),
-        ("uniform-sweep", {"preset", "coupling", "n_max", "theta_steps", "phi"}),
-        ("distinguishability", {"preset", "coupling"}),
-        ("delta-d", {"preset", "coupling", "objective", "n_max"}),
-        ("table", set()),
-        ("continuous-limit", {"limit_k", "limit_T", "limit_N"}),
+        ("quantity-vs-n", ["preset", "coupling", "objective", "n_max", "reservoir_k"]),
+        ("uniform-sweep", ["preset", "coupling", "n_max", "theta_steps", "phi"]),
+        ("distinguishability", ["preset", "coupling"]),
+        ("delta-d", ["preset", "coupling", "objective", "n_max"]),
+        ("table", []),
+        ("continuous-limit", ["limit_k", "limit_T", "limit_N"]),
     ])
     def test_manifest_records_only_the_fields_read(self, tmp_path, strong, name, fields):
         spec = ExperimentSpec(
@@ -285,7 +285,7 @@ class TestRunExperiment:
             n_max=2, theta_steps=4,
         )
         manifest = json.loads(run_experiment(spec, out_dir=tmp_path)["manifest"].read_text())
-        assert set(manifest) == {"experiment", "versions", "wall_time_s", "outputs"} | fields
+        assert list(manifest) == ["experiment", *fields, "versions", "wall_time_s", "outputs"]
 
     def test_manifest_records_the_python_version(self, tmp_path, strong):
         spec = ExperimentSpec(name="distinguishability", cfg=strong, preset="strong")
@@ -363,6 +363,13 @@ class TestRunExperiment:
         # a coupling or objective of the wrong type, not left to fail in the file name
         ("quantity-vs-n", "objective", "visibility", ConfigError),
         ("quantity-vs-n", "cfg", {"g": 1.0}, ConfigError),
+        # a preset names one file: a str with no separator or NUL, and not . or ..
+        ("distinguishability", "preset", 5, ConfigError),
+        ("quantity-vs-n", "preset", "a/b", ConfigError),
+        ("quantity-vs-n", "preset", "a\\b", ConfigError),
+        ("delta-d", "preset", "../escape", ConfigError),
+        ("delta-d", "preset", "a\0b", ConfigError),
+        ("uniform-sweep", "preset", "..", ConfigError),
     ])
     def test_bad_field_rejected_before_any_output(
         self, tmp_path, strong, name, field, value, error
@@ -383,18 +390,14 @@ class TestRunExperiment:
         }
 
     def test_registry_states_each_study_once(self):
-        # an entry records exactly the spec fields its rows read, and the
-        # studies take every value from the spec, whose defaults are the only ones
-        spec_fields = set(ExperimentSpec._fields)
-        studies = set()
+        # an entry reads and records exactly its study's parameters, which
+        # name spec fields; the spec's defaults are the only ones
         for name, entry in EXPERIMENTS.items():
-            names = set(entry.rows.__code__.co_names)
-            assert names & spec_fields == set(entry.fields), name
-            studies |= {getattr(experiments, n) for n in names if n.startswith("run_")}
-        assert len(studies) == 6
-        for study in studies:
-            parameters = inspect.signature(study).parameters.values()
-            assert all(p.default is p.empty for p in parameters), study.__name__
+            parameters = inspect.signature(entry.study).parameters
+            assert entry.fields == tuple(parameters), name
+            assert set(entry.fields) <= set(ExperimentSpec._fields), name
+            assert all(p.default is p.empty for p in parameters.values()), name
+        assert len({entry.study for entry in EXPERIMENTS.values()}) == 6
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_every_line_has_a_cell_per_column(self, tmp_path, strong, name):
